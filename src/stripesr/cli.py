@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Subcommands: synth, degrade, train, infer, eval, scan-viz, bench-scan.
+Subcommands: synth, degrade, train, infer, eval, scan-viz.
 Exit codes: 0 success, 1 numeric failure, 2 usage or format failure.
 """
 
@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 import numpy as np
 
@@ -18,8 +17,6 @@ from . import metrics as qi
 from . import model as mdl
 from .train import TrainConfig, sample_patches, train as run_train, write_loss_csv
 from .scan import make_order
-from .s6 import S6Params, s6_forward_chunked, s6_forward_naive
-from .tensor import Tensor
 
 
 def _positive_int(value):
@@ -108,16 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True,
                    help="output prefix; writes <out>.txt and <out>.ppm")
 
-    p = sub.add_parser("bench-scan", help="time the naive vs chunked S6 scan")
-    p.add_argument("--dim", type=_positive_int, default=16,
-                   help="channel dim d (default: 16)")
-    p.add_argument("--state", type=_positive_int, default=16,
-                   help="state dim N (default: 16)")
-    p.add_argument("--tokens", type=_positive_int, default=4096,
-                   help="sequence length T (default: 4096)")
-    p.add_argument("--chunk", type=_positive_int, default=64,
-                   help="chunk size (default: 64)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
     return parser
 
 
@@ -198,32 +185,6 @@ def _cmd_scan_viz(args) -> int:
     return 0
 
 
-def _cmd_bench_scan(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    d, n, t = args.dim, args.state, args.tokens
-    r = max(d // 16, 1)
-    params = S6Params(
-        a_log=Tensor(np.log(np.arange(1, n + 1)) * np.ones((d, n))),
-        d_skip=Tensor(np.ones(d)),
-        w_b=Tensor(rng.normal(0, 0.1, (d, n))),
-        w_c=Tensor(rng.normal(0, 0.1, (d, n))),
-        w_dt_down=Tensor(rng.normal(0, 0.1, (r, d))),
-        w_dt_up=Tensor(rng.normal(0, 0.1, (d, r))),
-        b_dt=Tensor(np.zeros(d)),
-    )
-    seq = Tensor(rng.normal(0, 1, (d, t)).astype(np.float32))
-    t0 = time.perf_counter()
-    y_naive = s6_forward_naive(seq, params)
-    t1 = time.perf_counter()
-    y_chunk = s6_forward_chunked(seq, params, args.chunk)
-    t2 = time.perf_counter()
-    diff = float(np.max(np.abs(y_naive.data - y_chunk.data)))
-    print(f"naive:   {t1 - t0:.4f} s")
-    print(f"chunked: {t2 - t1:.4f} s (chunk={args.chunk})")
-    print(f"max abs diff: {diff:.3g}")
-    return 0
-
-
 _COMMANDS = {
     "synth": _cmd_synth,
     "degrade": _cmd_degrade,
@@ -231,7 +192,6 @@ _COMMANDS = {
     "infer": _cmd_infer,
     "eval": _cmd_eval,
     "scan-viz": _cmd_scan_viz,
-    "bench-scan": _cmd_bench_scan,
 }
 
 

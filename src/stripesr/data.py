@@ -9,6 +9,7 @@ out-of-range values are clamped (and logged) on ingest.
 from __future__ import annotations
 
 import logging
+import os
 import struct
 from dataclasses import dataclass
 
@@ -68,12 +69,15 @@ def read_hsc(path: str) -> HsiCube:
         if magic != HSC_MAGIC:
             raise FormatError(f"bad HSC magic {magic!r} at byte 0")
         expected = 4 * c * h * w
-        payload = fh.read(expected + 1)
-        if len(payload) != expected:
+        # check the declared dims against the file size before reading, so
+        # absurd dims fail here rather than in an allocation
+        stored = os.fstat(fh.fileno()).st_size - HSC_HEADER.size
+        if stored != expected:
             raise FormatError(
                 f"HSC payload length mismatch at byte {HSC_HEADER.size}: "
-                f"expected {expected} bytes, got {len(payload)}"
+                f"expected {expected} bytes, got {stored}"
             )
+        payload = fh.read(expected)
     data = np.frombuffer(payload, dtype="<f4").reshape(c, h, w).copy()
     clipped = np.clip(data, lo, hi)
     n_clamped = int(np.count_nonzero(clipped != data))

@@ -21,6 +21,7 @@ from __future__ import annotations
 import io
 import json
 import struct
+import typing
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -137,22 +138,12 @@ def count_params(w: ModelWeights) -> int:
 
 
 def _pad_to_even(x: Tensor) -> tuple[Tensor, tuple[int, int]]:
-    c, h, wd = x.shape
+    _, h, wd = x.shape
     pb, pr = h % 2, wd % 2
     if not (pb or pr):
         return x, (h, wd)
-    rows = ops._reflect_index(h, 0, pb)
-    cols = ops._reflect_index(wd, 0, pr)
-    out = np.ascontiguousarray(x.data[:, rows[:, None], cols[None, :]])
-
-    def dfn(g):
-        gx = np.zeros((c, h, wd), dtype=g.dtype)
-        tmp = np.zeros((c, h, g.shape[2]), dtype=g.dtype)
-        np.add.at(tmp, (slice(None), rows), g)
-        np.add.at(gx, (Ellipsis, cols), tmp)
-        return gx
-
-    return T._record_unary(x, out, dfn), (h, wd)
+    out, fold = ops.reflect_pad(x.data, 0, pb, 0, pr)
+    return T._record_unary(x, np.ascontiguousarray(out), fold), (h, wd)
 
 
 def _crop(x: Tensor, dims: tuple[int, int]) -> Tensor:
@@ -220,73 +211,33 @@ def _conv_flops(c_in, c_out, k, h, w, groups=1) -> int:
     return 2 * k * k * (c_in // groups) * c_out * h * w
 
 
-def _s6_flops(d, n, t) -> int:
-    r = max(d // 16, 1)
-    proj = 2 * r * d + 2 * d * r + 2 * d * n + 2 * d * n  # delta/B/C per token
-    rec = 3 * 2 * d * n + 2 * d  # decay, inject, readout, skip
-    return t * (proj + rec)
-
-
-def _vssm_flops(c, n, h, w) -> int:
-    d_inner = 2 * c
-    f = _conv_flops(c, d_inner, 1, h, w)
-    f += _conv_flops(d_inner, d_inner, 3, h, w, groups=d_inner)
-    f += 4 * _s6_flops(d_inner, n, h * w)
-    f += _conv_flops(d_inner, c, 1, h, w)
-    return f
-
-
-def _lfse_flops(c, n, h, w) -> int:
-    inner = blocks.inner_channels(c)
-    hidden = ops.ca_bottleneck(inner)
-    f = _conv_flops(c, inner, 3, h, w)
-    f += 2 * hidden * inner + 2 * inner * hidden  # CA matmuls
-    f += _vssm_flops(inner, n, h, w)
-    f += _conv_flops(inner, c, 3, h, w)
-    return f
-
-
-def _hfse_flops(c, n, h, w) -> int:
-    inner = blocks.inner_channels(c)
-    f = _conv_flops(c, inner, 3, h, w)
-    f += _conv_flops(inner, inner, 3, h, w)
-    f += _vssm_flops(inner, n, h, w)
-    f += _conv_flops(inner, inner, 5, h, w, groups=inner)
-    f += 2 * _conv_flops(inner, inner, 3, h, w)
-    f += _conv_flops(inner, c, 3, h, w)
-    return f
-
-
-def _hlfd_flops(c, n, h, w) -> int:
-    inner = blocks.inner_channels(c)
-    half = inner // 2
-    f = _conv_flops(c, inner, 3, h, w)
-    f += _vssm_flops(half, n, h, w)
-    f += _conv_flops(half, half, 3, h, w, groups=half)
-    f += _conv_flops(half, half, 1, h, w)
-    f += _conv_flops(inner, inner, 3, h, w)
-    f += _conv_flops(inner, c, 3, h, w)
-    return f
+# Flops per parameter entry per use, 2 per multiply-add. Conv weights and the
+# scan's projection and skip weights are used once per pixel of their level,
+# a_log three times (decay, inject, readout), the channel-attention matmuls
+# once per image.
+_FLOPS_PER_PIXEL = {"w": 2, "w_b": 2, "w_c": 2, "w_dt_down": 2, "w_dt_up": 2,
+                    "d_skip": 2, "a_log": 6}
+_FLOPS_PER_IMAGE = {"w1": 2, "w2": 2}
 
 
 def estimate_flops(cfg: ModelConfig, h: int, w: int) -> int:
-    """Approximate flops (2 per multiply-accumulate) for one forward pass on
-    an (h, w) low-res input. Counts convs, matmuls and the sequential scan;
-    normalizations, gates and the bicubic preprocessing are excluded."""
-    d, n, reps = cfg.hidden, cfg.state, cfg.blocks_per_level
-    hh, ww = h * cfg.scale, w * cfg.scale
-    total = _conv_flops(cfg.bands, d, 3, hh, ww)
-    ch, cw = hh, ww
-    total += reps * _lfse_flops(d, n, ch, cw)
+    """Flops for one forward pass on an (h, w) low-res input, summed over
+    `param_specs`: convs, channel-attention matmuls and the selective scan.
+    Normalizations, gates and the bicubic preprocessing are excluded."""
+    dims = [(h * cfg.scale, w * cfg.scale)]
     for _ in range(cfg.levels):
-        ch, cw = (ch + ch % 2) // 2, (cw + cw % 2) // 2
-        total += reps * _hfse_flops(3 * d, n, ch, cw)
-        total += reps * _lfse_flops(d, n, ch, cw)
-    for _ in range(cfg.levels):
-        ch, cw = ch * 2, cw * 2
-        total += reps * _hlfd_flops(d, n, ch, cw)
-    total += _conv_flops(d, cfg.bands, 3, hh, ww)
-    return int(total)
+        dims.append(tuple(-(-v // 2) for v in dims[-1]))
+    total = 0
+    for path, shape, _ in param_specs(cfg):
+        stage, level, *_, name = path.split(".")
+        size = int(np.prod(shape))
+        if name in _FLOPS_PER_IMAGE:
+            total += _FLOPS_PER_IMAGE[name] * size
+        elif name in _FLOPS_PER_PIXEL:
+            # global.* runs at HR, enc.i.* at level i, dec.i.* at level i-1
+            lv = 0 if stage == "global" else int(level) - (stage == "dec")
+            total += _FLOPS_PER_PIXEL[name] * size * dims[lv][0] * dims[lv][1]
+    return total
 
 
 # ------------------------------------------------------------- checkpoints
@@ -320,6 +271,27 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return data
 
 
+def _parse_config(raw: bytes) -> ModelConfig:
+    try:
+        obj = json.loads(raw)
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise FormatError(f"checkpoint config is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise FormatError("checkpoint config must be a JSON object")
+    hints = typing.get_type_hints(ModelConfig)
+    for key, value in obj.items():
+        if key not in hints:
+            raise FormatError(f"unknown checkpoint config key {key!r}")
+        if type(value) is not hints[key]:  # rejects bool and float for int
+            raise FormatError(
+                f"checkpoint config {key!r} must be {hints[key].__name__}, got {value!r}"
+            )
+    try:
+        return ModelConfig(**obj)
+    except TypeError as exc:  # a required key is missing
+        raise FormatError(f"checkpoint config: {exc}") from None
+
+
 def load_checkpoint(path: str) -> ModelWeights:
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -329,12 +301,17 @@ def load_checkpoint(path: str) -> ModelWeights:
         if version != CKPT_VERSION:
             raise FormatError(f"unsupported checkpoint version {version}")
         (cfg_len,) = struct.unpack("<I", _read_exact(fh, 4, "config length"))
-        cfg = ModelConfig(**json.loads(_read_exact(fh, cfg_len, "config")))
+        cfg = _parse_config(_read_exact(fh, cfg_len, "config"))
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "param count"))
         params = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "name length"))
-            name = _read_exact(fh, name_len, "name").decode()
+            try:
+                name = _read_exact(fh, name_len, "name").decode()
+            except UnicodeDecodeError:
+                raise FormatError(
+                    f"parameter name is not UTF-8 at byte {fh.tell() - name_len}"
+                ) from None
             (ndim,) = struct.unpack("<I", _read_exact(fh, 4, "ndim"))
             shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "shape"))
             nvals = int(np.prod(shape, dtype=np.int64)) if ndim else 1

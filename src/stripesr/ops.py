@@ -43,6 +43,25 @@ def _reflect_index(n: int, pad_lo: int, pad_hi: int) -> np.ndarray:
     return np.where(idx >= n, period - idx, idx)
 
 
+def reflect_pad(x: np.ndarray, pt: int, pb: int, pl: int, pr: int):
+    """Reflect-pad the two spatial axes of a (C, H, W) array.
+
+    Returns the padded array and `fold`, which sums a gradient of the padded
+    shape back onto (C, H, W)."""
+    c, h, wd = x.shape
+    rows = _reflect_index(h, pt, pb)
+    cols = _reflect_index(wd, pl, pr)
+
+    def fold(g):
+        tmp = np.zeros((c, h, g.shape[2]), dtype=g.dtype)
+        np.add.at(tmp, (slice(None), rows), g)
+        gx = np.zeros((c, h, wd), dtype=g.dtype)
+        np.add.at(gx, (Ellipsis, cols), tmp)
+        return gx
+
+    return x[:, rows[:, None], cols[None, :]], fold
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None, spec: ConvSpec) -> Tensor:
     """Grouped dilated cross-correlation; x (C_in,H,W), w (C_out,C_in/g,kh,kw)."""
     c_in, h, wd = x.shape
@@ -67,11 +86,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, spec: ConvSpec) -> Tensor:
         pt, pb = (ekh - 1) // 2, ekh - 1 - (ekh - 1) // 2
         pl, pr = (ekw - 1) // 2, ekw - 1 - (ekw - 1) // 2
 
-    rows = cols = None
     if spec.padding == "same-reflect":
-        rows = _reflect_index(h, pt, pb)
-        cols = _reflect_index(wd, pl, pr)
-        xp = x.data[:, rows[:, None], cols[None, :]]
+        xp, fold = reflect_pad(x.data, pt, pb, pl, pr)
     elif spec.padding == "same-zero":
         xp = np.pad(x.data, ((0, 0), (pt, pb), (pl, pr)))
     else:
@@ -113,10 +129,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, spec: ConvSpec) -> Tensor:
                         j * dil : j * dil + wo * stride : stride,
                     ] += gpatch[:, :, :, i, j]
             if spec.padding == "same-reflect":
-                tmp = np.zeros((c_in, h, wp), dtype=gy.dtype)
-                np.add.at(tmp, (slice(None), rows), gxp)
-                gx = np.zeros((c_in, h, wd), dtype=gy.dtype)
-                np.add.at(gx, (Ellipsis, cols), tmp)
+                gx = fold(gxp)
             elif spec.padding == "same-zero":
                 gx = gxp[:, pt : pt + h, pl : pl + wd]
             else:

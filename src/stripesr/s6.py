@@ -7,10 +7,8 @@ The recurrence per channel d and state n over a token sequence x_t:
     h_t     = Abar_t * h_{t-1} + (delta_t * x_t) outer B_t (Euler for B)
     y_t     = <C_t, h_t> + D_skip * x_t
 
-B_t and C_t are linear projections of x_t shared across channels. The naive
-forward is the sequential reference (and the training path, with a fused
-hand-written backward); the chunked forward is a block-wise fast path that
-precomputes projections per block and carries h across block boundaries.
+B_t and C_t are linear projections of x_t shared across channels. One
+sequential scan with a fused hand-written backward serves every caller.
 """
 
 from __future__ import annotations
@@ -36,6 +34,11 @@ class S6Params:
     w_dt_down: Tensor  # (r, d) bottleneck in
     w_dt_up: Tensor  # (d, r) bottleneck out
     b_dt: Tensor  # (d,)
+
+    def tensors(self) -> tuple[Tensor, ...]:
+        """The seven parameter tensors, in field order."""
+        return (self.a_log, self.d_skip, self.w_b, self.w_c,
+                self.w_dt_down, self.w_dt_up, self.b_dt)
 
     @property
     def d(self) -> int:
@@ -69,11 +72,7 @@ def _sigmoid(x):
 
 
 def _precompute(x, a, w_b, w_c, w_dn, w_up, b_dt):
-    """Shared per-token quantities for a (B, d, c) block of tokens.
-
-    Kept free of einsum path optimization so naive and chunked evaluation
-    produce bit-identical results for any block split.
-    """
+    """Per-token quantities for a (B, d, T) batch of sequences."""
     code = np.einsum("brd,bdt->brt", w_dn, x)
     raw = np.einsum("bdr,brt->bdt", w_up, code) + b_dt[:, :, None]
     sig = _sigmoid(raw)
@@ -111,13 +110,10 @@ def _s6_core(seq: Tensor, params: list[S6Params]) -> Tensor:
     if len(params) != nb:
         raise ContractViolation("one S6Params required per batch entry")
 
-    a_log = np.stack([p.a_log.data for p in params])
-    d_skip = np.stack([p.d_skip.data for p in params])
-    w_b = np.stack([p.w_b.data for p in params])
-    w_c = np.stack([p.w_c.data for p in params])
-    w_dn = np.stack([p.w_dt_down.data for p in params])
-    w_up = np.stack([p.w_dt_up.data for p in params])
-    b_dt = np.stack([p.b_dt.data for p in params])
+    fields = [p.tensors() for p in params]
+    a_log, d_skip, w_b, w_c, w_dn, w_up, b_dt = (
+        np.stack([f.data for f in col]) for col in zip(*fields)
+    )
 
     x = seq.data
     a = -np.exp(a_log)
@@ -125,10 +121,7 @@ def _s6_core(seq: Tensor, params: list[S6Params]) -> Tensor:
         x, a, w_b, w_c, w_dn, w_up, b_dt
     )
 
-    tape = T._find_tape(
-        seq, *(f for p in params for f in (p.a_log, p.d_skip, p.w_b, p.w_c,
-                                           p.w_dt_down, p.w_dt_up, p.b_dt))
-    )
+    tape = T._find_tape(seq, *(f for fs in fields for f in fs))
     need_states = tape is not None
     y, hs = _scan_forward(x, a, d_skip, b_t, c_t, abar, dbx, need_states)
     if not np.all(np.isfinite(y)):
@@ -169,78 +162,25 @@ def _s6_core(seq: Tensor, params: list[S6Params]) -> Tensor:
         gx += np.einsum("bdn,bnt->bdt", w_c, g_ct)
         g_a_log = g_a * a  # dA/dA_log = -exp(A_log) = A
 
-        per_param = {}
-        for k in range(nb):
-            p = params[k]
-            per_param[id(p.a_log)] = per_param.get(id(p.a_log), 0) + g_a_log[k]
-            per_param[id(p.d_skip)] = per_param.get(id(p.d_skip), 0) + g_dskip[k]
-            per_param[id(p.w_b)] = per_param.get(id(p.w_b), 0) + g_w_b[k]
-            per_param[id(p.w_c)] = per_param.get(id(p.w_c), 0) + g_w_c[k]
-            per_param[id(p.w_dt_down)] = per_param.get(id(p.w_dt_down), 0) + g_w_dn[k]
-            per_param[id(p.w_dt_up)] = per_param.get(id(p.w_dt_up), 0) + g_w_up[k]
-            per_param[id(p.b_dt)] = per_param.get(id(p.b_dt), 0) + g_b_dt[k]
-
-        grads = []
-        if T._attached(seq):
-            grads.append(gx)
-        seen = set()
-        for p in params:
-            for f in (p.a_log, p.d_skip, p.w_b, p.w_c,
-                      p.w_dt_down, p.w_dt_up, p.b_dt):
-                if T._attached(f) and id(f) not in seen:
-                    seen.add(id(f))
-                    grads.append(per_param[id(f)])
+        g_fields = (g_a_log, g_dskip, g_w_b, g_w_c, g_w_dn, g_w_up, g_b_dt)
+        # a tensor shared by several entries is listed once per entry; the
+        # tape sums its per-entry gradients
+        grads = [gx] if T._attached(seq) else []
+        grads += [g[k] for k, fs in enumerate(fields)
+                  for g, f in zip(g_fields, fs) if T._attached(f)]
         return grads
 
-    parents = []
-    if T._attached(seq):
-        parents.append(seq)
-    seen = set()
-    for p in params:
-        for f in (p.a_log, p.d_skip, p.w_b, p.w_c,
-                  p.w_dt_down, p.w_dt_up, p.b_dt):
-            if T._attached(f) and id(f) not in seen:
-                seen.add(id(f))
-                parents.append(f)
+    parents = [seq] if T._attached(seq) else []
+    parents += [f for fs in fields for f in fs if T._attached(f)]
     return tape.record(y, parents, backward)
 
 
 def s6_forward_naive(seq: Tensor, p: S6Params) -> Tensor:
-    """Sequential reference scan over a (d, T) sequence; tape-recorded."""
+    """Scan one (d, T) sequence through the batched core; tape-recorded."""
     if seq.data.ndim != 2:
         raise ContractViolation("s6_forward_naive expects a (d, T) sequence")
     out = _s6_core(T.reshape(seq, (1,) + seq.shape), [p])
     return T.reshape(out, seq.shape)
-
-
-def s6_forward_chunked(seq: Tensor, p: S6Params, chunk: int) -> Tensor:
-    """Block-wise forward-only scan, bit-compatible with the naive path."""
-    if chunk < 1:
-        raise ContractViolation("chunk must be >= 1")
-    if seq.data.ndim != 2:
-        raise ContractViolation("s6_forward_chunked expects a (d, T) sequence")
-    p.validate()
-    d, t = seq.shape
-    if p.d != d:
-        raise ContractViolation(f"S6Params d={p.d} does not match sequence d={d}")
-    x = seq.data[None]
-    a = -np.exp(p.a_log.data[None])
-    d_skip = p.d_skip.data[None]
-    h = np.zeros((1, d, p.n), dtype=seq.dtype)
-    y = np.empty_like(x)
-    for start in range(0, t, chunk):
-        xb = x[:, :, start : start + chunk]
-        _, _, _, b_t, c_t, abar, dbx = _precompute(
-            xb, a, p.w_b.data[None], p.w_c.data[None],
-            p.w_dt_down.data[None], p.w_dt_up.data[None], p.b_dt.data[None],
-        )
-        for i in range(xb.shape[2]):
-            h = abar[:, i] * h + dbx[:, :, i, None] * b_t[:, None, :, i]
-            y[:, :, start + i] = np.einsum("bdn,bn->bd", h, c_t[:, :, i])
-    y += d_skip[:, :, None] * x
-    if not np.all(np.isfinite(y)):
-        raise NumericError("s6 scan produced non-finite values")
-    return Tensor(y[0])
 
 
 def ss2d(x: Tensor, params: list[S6Params], orders: list[ScanOrder]) -> Tensor:

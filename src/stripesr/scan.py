@@ -71,6 +71,9 @@ def _make(kind: str, h: int, w: int, param: int, direction: int, base) -> ScanOr
     perm = _directional(base, h, w, param, direction)
     inv = np.empty_like(perm)
     inv[perm] = np.arange(perm.size, dtype=np.intp)
+    # orders are cached and shared between callers
+    perm.setflags(write=False)
+    inv.setflags(write=False)
     return ScanOrder(h, w, perm, inv, kind, param, direction)
 
 

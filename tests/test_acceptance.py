@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import init_param_dict, rel_err, rng
+from conftest import init_param_dict, rel_err, rng, s6_oracle
 from stripesr import cli
 from stripesr import tensor as T
 from stripesr.blocks import (
@@ -57,7 +57,7 @@ from stripesr.ops import (
     l1_loss,
     layernorm,
 )
-from stripesr.s6 import S6Params, delta_rank, s6_forward_chunked, s6_forward_naive, ss2d
+from stripesr.s6 import S6Params, _s6_core, delta_rank, s6_forward_naive, ss2d
 from stripesr.scan import (
     count_vertical_transitions,
     gather_tokens,
@@ -185,15 +185,19 @@ def _random_s6_params(seed, d, n, dtype=np.float64):
 
 
 def test_criterion_03_selective_scan_oracle_equivalence(capsys):
-    with criterion(capsys, 3, "selective-scan chunked == naive"):
+    with criterion(capsys, 3, "selective-scan == loop oracle"):
         d, n, t = 4, 8, 64
         for inst in range(50):
-            p, _ = _random_s6_params(1000 + inst, d, n)
-            x = _t64(np.random.default_rng(inst).normal(size=(d, t)))
-            ref = s6_forward_naive(x, p).data
-            for chunk in (1, 2, 3, 5, 8, t):
-                got = s6_forward_chunked(x, p, chunk).data
-                assert rel_err(got, ref) < 1e-5
+            p, raw = _random_s6_params(1000 + inst, d, n)
+            x = np.random.default_rng(inst).normal(size=(d, t))
+            got = s6_forward_naive(_t64(x), p).data
+            assert rel_err(got, s6_oracle(x, **raw)) < 1e-5
+        # one batched call with a distinct parameter set per entry
+        sets = [_random_s6_params(2000 + k, d, n) for k in range(4)]
+        xb = np.random.default_rng(50).normal(size=(4, d, t))
+        got = _s6_core(_t64(xb), [p for p, _ in sets]).data
+        for k, (_, raw) in enumerate(sets):
+            assert rel_err(got[k], s6_oracle(xb[k], **raw)) < 1e-5
         # hand-unrolled scalar recurrence, d=1 N=1 T=3
         p, raw = _random_s6_params(7, 1, 1)
         xs = [0.4, -0.7, 1.1]

@@ -1,5 +1,7 @@
 """CLI surface: commands run in-process through main(argv)."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ class TestHelp:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         for cmd in ("synth", "degrade", "train", "infer", "eval",
-                    "scan-viz", "bench-scan"):
+                    "scan-viz"):
             assert cmd in out
 
     @pytest.mark.parametrize("cmd,flags", [
@@ -39,7 +41,6 @@ class TestHelp:
         ("eval", ["--pred", "--gt", "--scale", "--csv", "--sam-map"]),
         ("scan-viz", ["--height", "--width", "--stripe", "--kind",
                       "--direction", "--out"]),
-        ("bench-scan", ["--dim", "--state", "--tokens", "--chunk"]),
     ])
     def test_subcommand_help_lists_every_flag_with_default(self, capsys, cmd,
                                                            flags):
@@ -127,6 +128,16 @@ class TestTrainInferEval:
         assert run("infer", "--in", gt_path, "--ckpt", bad,
                    "--out", str(tmp_path / "x.hsc")) == 2
 
+    def test_infer_malformed_config_exit_2(self, gt_path, tmp_path, capsys):
+        bad = str(tmp_path / "bad.hsrw")
+        config = b'{"zzz": 1}'
+        with open(bad, "wb") as fh:
+            fh.write(b"HSRW" + struct.pack("<II", 1, len(config)) + config
+                     + struct.pack("<I", 0))
+        assert run("infer", "--in", gt_path, "--ckpt", bad,
+                   "--out", str(tmp_path / "x.hsc")) == 2
+        assert "zzz" in capsys.readouterr().err
+
 
 class TestScanViz:
     def test_text_grid_matches_hand_enumeration(self, tmp_path):
@@ -151,10 +162,3 @@ class TestScanViz:
         assert open(a + ".txt").read() == open(b + ".txt").read()
         assert open(a + ".ppm", "rb").read() == open(b + ".ppm", "rb").read()
 
-
-class TestBenchScan:
-    def test_reports_timings_and_diff(self, capsys):
-        assert run("bench-scan", "--dim", "4", "--state", "4",
-                   "--tokens", "128", "--chunk", "16") == 0
-        out = capsys.readouterr().out
-        assert "naive" in out and "chunked" in out and "diff" in out

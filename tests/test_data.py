@@ -64,6 +64,13 @@ class TestHscFormat:
         msg = str(err.value)
         assert "128" in msg and "121" in msg  # expected vs actual bytes
 
+    def test_absurd_dims_rejected_before_reading(self, tmp_cube_path):
+        # 2^31 x 2^31 x 2^31 floats; a header-only file must not be read
+        with open(tmp_cube_path, "wb") as fh:
+            fh.write(b"HSC1" + struct.pack("<IIIff", *(3 * [2**31]), 0.0, 1.0))
+        with pytest.raises(FormatError):
+            read_hsc(tmp_cube_path)
+
     def test_truncated_header(self, tmp_cube_path):
         with open(tmp_cube_path, "wb") as fh:
             fh.write(b"HSC1\x01\x00")

@@ -1,11 +1,14 @@
 """Model assembly: init, forward, params/FLOPs accounting, checkpoints."""
 
+import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from conftest import rng
+from stripesr import blocks, ops
 from stripesr import tensor as T
 from stripesr.errors import ContractViolation, FormatError
 from stripesr.model import (
@@ -182,6 +185,40 @@ class TestFlops:
         large = estimate_flops(MICRO, 16, 16)
         assert 0 < small < large
 
+    def test_estimate_equals_counted_forward_on_odd_dims(self, monkeypatch):
+        # count every conv2d, ss2d and channel-attention call of a real
+        # forward; 5x7 at scale 2 pads before each DWT and crops after IWT
+        cfg = ModelConfig(bands=4, scale=2, hidden=16, levels=2, stripe=4,
+                          state=4)
+        counted = []
+        conv2d, ss2d, attn = ops.conv2d, blocks.ss2d, ops.channel_attention
+
+        def count_conv(x, w, b, spec):
+            out = conv2d(x, w, b, spec)
+            c_out, c_in_g, kh, kw = w.shape
+            counted.append(2 * kh * kw * c_in_g * c_out
+                           * out.shape[1] * out.shape[2])
+            return out
+
+        def count_ss2d(x, params, orders):
+            c, h, w = x.shape
+            for p in params:
+                r, n = p.w_dt_down.shape[0], p.n
+                # delta/B/C projections, then decay, inject, readout, skip
+                per_token = 2 * (2 * r * c + 2 * c * n) + 3 * 2 * c * n + 2 * c
+                counted.append(h * w * per_token)
+            return ss2d(x, params, orders)
+
+        def count_attn(x, w1, w2, *rest):
+            counted.append(2 * (w1.size + w2.size))
+            return attn(x, w1, w2, *rest)
+
+        monkeypatch.setattr(ops, "conv2d", count_conv)
+        monkeypatch.setattr(blocks, "ss2d", count_ss2d)
+        monkeypatch.setattr(ops, "channel_attention", count_attn)
+        infer(rng(5).random((4, 5, 7)).astype(np.float32), init_weights(cfg))
+        assert sum(counted) == estimate_flops(cfg, 5, 7)
+
 
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
@@ -234,5 +271,34 @@ class TestCheckpoint:
         bad = str(tmp_path / "bad")
         with open(bad, "wb") as fh:
             fh.write(bytes(blob))
+        with pytest.raises(FormatError):
+            load_checkpoint(bad)
+
+    @pytest.mark.parametrize("config,name", [
+        (b"{not json", None),
+        (b"\xff\xfe", None),
+        (b"[1, 2]", None),
+        (json.dumps({**asdict(MICRO), "zzz": 1}).encode(), None),
+        (json.dumps({**asdict(MICRO), "bands": "4"}).encode(), None),
+        (json.dumps({**asdict(MICRO), "hidden": 16.0}).encode(), None),
+        (json.dumps({**asdict(MICRO), "levels": True}).encode(), None),
+        (json.dumps({"scale": 2}).encode(), None),
+        (None, b"\xff\xfe"),
+    ], ids=["bad-json", "bad-utf8", "not-object", "unknown-key",
+            "str-for-int", "float-for-int", "bool-for-int", "missing-key",
+            "bad-utf8-name"])
+    def test_malformed_config_or_name_rejected(self, tmp_path, config, name):
+        src = str(tmp_path / "m.hsrw")
+        save_checkpoint(init_weights(MICRO), src)
+        blob = open(src, "rb").read()
+        cfg_len = struct.unpack_from("<I", blob, 8)[0]
+        head, body = blob[: 12 + cfg_len], blob[12 + cfg_len:]
+        if config is not None:
+            head = blob[:8] + struct.pack("<I", len(config)) + config
+        if name is not None:  # overwrite the first parameter name's bytes
+            body = body[:8] + name + body[8 + len(name):]
+        bad = str(tmp_path / "bad")
+        with open(bad, "wb") as fh:
+            fh.write(head + body)
         with pytest.raises(FormatError):
             load_checkpoint(bad)

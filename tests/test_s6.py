@@ -1,4 +1,4 @@
-"""Selective-scan recurrence: oracles, chunking, causality, gradients."""
+"""Selective-scan recurrence: oracles, causality, gradients."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from stripesr.errors import ContractViolation
 from stripesr.s6 import (
     S6Params,
     delta_rank,
-    s6_forward_chunked,
     s6_forward_naive,
     ss2d,
 )
@@ -90,37 +89,6 @@ class TestNaiveForward:
             s6_forward_naive(Tensor(np.zeros((2, 4))), bad)
 
 
-class TestChunkedForward:
-    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8, 64])
-    def test_matches_naive(self, chunk):
-        p, _ = make_params(10, 4, 8)
-        x = rng(11).normal(size=(4, 64))
-        y = s6_forward_naive(Tensor(x, dtype=np.float64), p).data
-        yc = s6_forward_chunked(Tensor(x, dtype=np.float64), p, chunk).data
-        assert rel_err(y, yc) < 1e-5
-
-    def test_many_random_instances(self):
-        for seed in range(50):
-            p, _ = make_params(seed, 4, 8)
-            x = np.random.default_rng(seed + 1000).normal(size=(4, 64))
-            y = s6_forward_naive(Tensor(x, dtype=np.float64), p).data
-            for chunk in (1, 3, 64):
-                yc = s6_forward_chunked(Tensor(x, dtype=np.float64), p, chunk).data
-                assert rel_err(y, yc) < 1e-5
-
-    def test_chunk7_t100(self):
-        p, _ = make_params(12, 3, 6)
-        x = rng(13).normal(size=(3, 100))
-        y = s6_forward_naive(Tensor(x, dtype=np.float64), p).data
-        yc = s6_forward_chunked(Tensor(x, dtype=np.float64), p, 7).data
-        assert rel_err(y, yc) < 1e-5
-
-    def test_bad_chunk(self):
-        p, _ = make_params(14, 2, 2)
-        with pytest.raises(ContractViolation):
-            s6_forward_chunked(Tensor(np.zeros((2, 4))), p, 0)
-
-
 class TestGradients:
     def test_input_gradient(self):
         p, _ = make_params(15, 2, 3)
@@ -196,6 +164,21 @@ class TestSs2d:
             return T.reduce_sum(T.sigmoid(ss2d(t, params, orders)))
 
         assert T.grad_check(f, x) < 2e-3
+
+    def test_parameter_shared_across_directions(self):
+        # one S6Params object for all four directions: a_log's gradient is
+        # the sum of its four per-direction gradients
+        d, n = 2, 2
+        _, raw = make_params(31, d, n)
+        orders = self._orders(3, 4)
+        x = Tensor(rng(24).normal(size=(d, 3, 4)), dtype=np.float64)
+
+        def f(t):
+            kw = {k: (t if k == "a_log" else Tensor(v, dtype=np.float64))
+                  for k, v in raw.items()}
+            return T.reduce_sum(T.sigmoid(ss2d(x, [S6Params(**kw)] * 4, orders)))
+
+        assert T.grad_check(f, raw["a_log"].copy()) < 2e-3
 
     def test_requires_four_of_each(self):
         p, _ = make_params(23, 2, 2)

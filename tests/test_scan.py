@@ -123,6 +123,16 @@ class TestValidation:
         with pytest.raises(ContractViolation):
             stripe_order(4, 4, 0)
 
+    @pytest.mark.parametrize("kind", ["raster", "window", "stripe"])
+    def test_perm_and_inv_are_read_only(self, kind):
+        # orders are cached and shared, so a caller must not be able to
+        # change one in place
+        o = make_order(kind, 4, 4, 2)
+        with pytest.raises(ValueError):
+            o.perm[0] = 1
+        with pytest.raises(ValueError):
+            o.inv[0] = 1
+
 
 class TestGatherScatter:
     def test_roundtrip_identity(self):
