@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import ContractViolation
 from . import tensor as T
 from . import ops
@@ -150,9 +148,7 @@ def soft_gate(x1: Tensor, x21: Tensor, x22: Tensor, alpha: Tensor) -> Tensor:
 def gate_weights(alpha: float) -> tuple[float, float]:
     """Scalar (w1, w2) for a given alpha, same math as soft_gate."""
     z = 2.0 * alpha - 1.0
-    w1 = float(np.exp(-np.logaddexp(0.0, -z)))
-    w2 = float(np.exp(-np.logaddexp(0.0, z)))
-    return w1, w2
+    return float(T.logistic(z)), float(T.logistic(-z))
 
 
 # ---------------------------------------------------------------- LFSE

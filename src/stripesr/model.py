@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import io
 import json
+import math
+import os
 import struct
 import typing
 from dataclasses import dataclass, field, asdict
@@ -262,13 +264,16 @@ def save_checkpoint(weights: ModelWeights, path: str) -> None:
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
+    # check the declared length against the bytes left before reading, so an
+    # absurd length fails here rather than in an allocation
+    pos = fh.tell()
+    left = os.fstat(fh.fileno()).st_size - pos
+    if n > left:
         raise FormatError(
-            f"truncated checkpoint while reading {what} at byte {fh.tell() - len(data)}:"
-            f" wanted {n} bytes, got {len(data)}"
+            f"truncated checkpoint while reading {what} at byte {pos}:"
+            f" wanted {n} bytes, got {left}"
         )
-    return data
+    return fh.read(n)
 
 
 def _parse_config(raw: bytes) -> ModelConfig:
@@ -314,8 +319,7 @@ def load_checkpoint(path: str) -> ModelWeights:
                 ) from None
             (ndim,) = struct.unpack("<I", _read_exact(fh, 4, "ndim"))
             shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "shape"))
-            nvals = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-            raw = _read_exact(fh, 4 * nvals, "data")
+            raw = _read_exact(fh, 4 * math.prod(shape), "data")
             params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
     weights = ModelWeights(config=cfg, params=params)
     expected = {p: s for p, s, _ in param_specs(cfg)}

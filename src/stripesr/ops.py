@@ -1,8 +1,10 @@
 """Neural-network operators on top of the tensor tape.
 
-Convolution (grouped / dilated, reflect or zero "same" padding), channel
+Convolution (grouped / dilated, stride 1, reflect "same" padding), channel
 layer norm, squeeze-excite channel attention, Keys bicubic resampling,
 AdamW, and the L1 objective. All image tensors are channel-first (C, H, W).
+Taped ops hand all their inputs to `tensor.record`, and their backward
+closures return one gradient per input; the tape decides which it keeps.
 """
 
 from __future__ import annotations
@@ -16,23 +18,17 @@ from .errors import ContractViolation
 from . import tensor as T
 from .tensor import Tensor
 
-PADDINGS = ("same-reflect", "same-zero", "valid")
-
 
 @dataclass(frozen=True)
 class ConvSpec:
     kernel: tuple[int, int] = (3, 3)
-    stride: int = 1
     dilation: int = 1
     groups: int = 1
-    padding: str = "same-reflect"
 
     def __post_init__(self):
         kh, kw = self.kernel
-        if kh < 1 or kw < 1 or self.stride < 1 or self.dilation < 1 or self.groups < 1:
+        if kh < 1 or kw < 1 or self.dilation < 1 or self.groups < 1:
             raise ContractViolation(f"invalid ConvSpec {self}")
-        if self.padding not in PADDINGS:
-            raise ContractViolation(f"unknown padding {self.padding!r}")
 
 
 def _reflect_index(n: int, pad_lo: int, pad_hi: int) -> np.ndarray:
@@ -63,7 +59,8 @@ def reflect_pad(x: np.ndarray, pt: int, pb: int, pl: int, pr: int):
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None, spec: ConvSpec) -> Tensor:
-    """Grouped dilated cross-correlation; x (C_in,H,W), w (C_out,C_in/g,kh,kw)."""
+    """Grouped dilated stride-1 cross-correlation with reflect "same"
+    padding; x (C_in,H,W), w (C_out,C_in/g,kh,kw)."""
     c_in, h, wd = x.shape
     c_out, c_in_g, kh, kw = w.shape
     g = spec.groups
@@ -76,73 +73,34 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, spec: ConvSpec) -> Tensor:
     if b is not None and b.shape != (c_out,):
         raise ContractViolation("conv2d: bias must have shape (C_out,)")
 
-    dil, stride = spec.dilation, spec.stride
+    dil = spec.dilation
     ekh, ekw = (kh - 1) * dil + 1, (kw - 1) * dil + 1
-    if spec.padding == "valid":
-        pt = pb = pl = pr = 0
-        if h < ekh or wd < ekw:
-            raise ContractViolation("conv2d: input smaller than effective kernel")
-    else:
-        pt, pb = (ekh - 1) // 2, ekh - 1 - (ekh - 1) // 2
-        pl, pr = (ekw - 1) // 2, ekw - 1 - (ekw - 1) // 2
-
-    if spec.padding == "same-reflect":
-        xp, fold = reflect_pad(x.data, pt, pb, pl, pr)
-    elif spec.padding == "same-zero":
-        xp = np.pad(x.data, ((0, 0), (pt, pb), (pl, pr)))
-    else:
-        xp = x.data
-
-    hp, wp = xp.shape[1:]
+    pt, pl = (ekh - 1) // 2, (ekw - 1) // 2
+    xp, fold = reflect_pad(x.data, pt, ekh - 1 - pt, pl, ekw - 1 - pl)
     view = sliding_window_view(xp, (ekh, ekw), axis=(1, 2))
-    patches = view[:, ::stride, ::stride, ::dil, ::dil]  # (C_in, Ho, Wo, kh, kw)
-    ho, wo = patches.shape[1], patches.shape[2]
+    patches = view[:, :, :, ::dil, ::dil]  # (C_in, H, W, kh, kw)
 
-    pg = patches.reshape(g, c_in_g, ho, wo, kh, kw)
+    pg = patches.reshape(g, c_in_g, h, wd, kh, kw)
     wg = w.data.reshape(g, c_out // g, c_in_g, kh, kw)
     out = np.einsum("gchwij,gocij->gohw", pg, wg, optimize=True)
-    out = np.ascontiguousarray(out.reshape(c_out, ho, wo), dtype=x.dtype)
+    out = np.ascontiguousarray(out.reshape(c_out, h, wd), dtype=x.dtype)
     if b is not None:
         out = out + b.data[:, None, None]
 
-    tape = T._find_tape(x, w, b)
-    if tape is None:
-        return Tensor(out)
-
-    pg_saved = np.ascontiguousarray(pg)
-    has_x, has_w = T._attached(x), T._attached(w)
-    has_b = b is not None and T._attached(b)
-    parents = [t for t, p in ((x, has_x), (w, has_w), (b, has_b)) if p]
-
     def backward(gy):
-        gyg = gy.reshape(g, c_out // g, ho, wo)
-        grads = []
-        if has_x:
-            gpatch = np.einsum("gohw,gocij->gchwij", gyg, wg, optimize=True)
-            gpatch = gpatch.reshape(c_in, ho, wo, kh, kw)
-            gxp = np.zeros((c_in, hp, wp), dtype=gy.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[
-                        :,
-                        i * dil : i * dil + ho * stride : stride,
-                        j * dil : j * dil + wo * stride : stride,
-                    ] += gpatch[:, :, :, i, j]
-            if spec.padding == "same-reflect":
-                gx = fold(gxp)
-            elif spec.padding == "same-zero":
-                gx = gxp[:, pt : pt + h, pl : pl + wd]
-            else:
-                gx = gxp
-            grads.append(gx)
-        if has_w:
-            gw = np.einsum("gohw,gchwij->gocij", gyg, pg_saved, optimize=True)
-            grads.append(gw.reshape(c_out, c_in_g, kh, kw))
-        if has_b:
-            grads.append(gy.sum(axis=(1, 2)))
-        return grads
+        # `pg` views the padded input, the only array kept for backward
+        gyg = gy.reshape(g, c_out // g, h, wd)
+        gw = np.einsum("gohw,gchwij->gocij", gyg, np.ascontiguousarray(pg),
+                       optimize=True)
+        gpatch = np.einsum("gohw,gocij->gchwij", gyg, wg, optimize=True)
+        gpatch = gpatch.reshape(c_in, h, wd, kh, kw)
+        gxp = np.zeros(xp.shape, dtype=gy.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                gxp[:, i * dil : i * dil + h, j * dil : j * dil + wd] += gpatch[..., i, j]
+        return fold(gxp), gw.reshape(c_out, c_in_g, kh, kw), gy.sum(axis=(1, 2))
 
-    return tape.record(out, parents, backward)
+    return T.record(out, (x, w, b), backward)
 
 
 def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -158,26 +116,14 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
     xhat = (x.data - mu) * invstd
     out = gamma.data[:, None, None] * xhat + beta.data[:, None, None]
 
-    tape = T._find_tape(x, gamma, beta)
-    if tape is None:
-        return Tensor(out)
-    has = [T._attached(t) for t in (x, gamma, beta)]
-    parents = [t for t, p in zip((x, gamma, beta), has) if p]
-
     def backward(gy):
-        grads = []
-        if has[0]:
-            dxhat = gy * gamma.data[:, None, None]
-            m1 = dxhat.mean(axis=0)
-            m2 = (dxhat * xhat).mean(axis=0)
-            grads.append(invstd * (dxhat - m1 - xhat * m2))
-        if has[1]:
-            grads.append((gy * xhat).sum(axis=(1, 2)))
-        if has[2]:
-            grads.append(gy.sum(axis=(1, 2)))
-        return grads
+        dxhat = gy * gamma.data[:, None, None]
+        m1 = dxhat.mean(axis=0)
+        m2 = (dxhat * xhat).mean(axis=0)
+        return (invstd * (dxhat - m1 - xhat * m2), (gy * xhat).sum(axis=(1, 2)),
+                gy.sum(axis=(1, 2)))
 
-    return tape.record(out, parents, backward)
+    return T.record(out, (x, gamma, beta), backward)
 
 
 def channel_attention(
@@ -287,26 +233,16 @@ def adamw_step(params: dict, grads: dict, state: OptState) -> tuple[dict, OptSta
 
 
 def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean absolute error; tape-recorded on the prediction side."""
+    """Mean absolute error."""
     if pred.shape != target.shape:
         raise ContractViolation(
             f"l1_loss: shape mismatch {pred.shape} vs {target.shape}"
         )
     diff = pred.data - target.data
-    out = np.abs(diff).mean()
-    tape = T._find_tape(pred, target)
-    if tape is None:
-        return Tensor(np.asarray(out, dtype=pred.dtype))
-    sign = np.sign(diff) / diff.size
-    has_p, has_t = T._attached(pred), T._attached(target)
-    parents = [t for t, p in ((pred, has_p), (target, has_t)) if p]
+    out = np.asarray(np.abs(diff).mean(), dtype=pred.dtype)
 
     def backward(g):
-        grads = []
-        if has_p:
-            grads.append(g * sign)
-        if has_t:
-            grads.append(-g * sign)
-        return grads
+        sign = np.sign(diff) / diff.size
+        return g * sign, -g * sign
 
-    return tape.record(np.asarray(out, dtype=pred.dtype), parents, backward)
+    return T.record(out, (pred, target), backward)

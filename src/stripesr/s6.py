@@ -67,15 +67,11 @@ def delta_rank(d: int) -> int:
     return max(d // 16, 1)
 
 
-def _sigmoid(x):
-    return np.exp(-np.logaddexp(0.0, -x))
-
-
 def _precompute(x, a, w_b, w_c, w_dn, w_up, b_dt):
     """Per-token quantities for a (B, d, T) batch of sequences."""
     code = np.einsum("brd,bdt->brt", w_dn, x)
     raw = np.einsum("bdr,brt->bdt", w_up, code) + b_dt[:, :, None]
-    sig = _sigmoid(raw)
+    sig = T.logistic(raw)
     delta = np.logaddexp(0.0, raw)
     b_t = np.einsum("bdn,bdt->bnt", w_b, x)
     c_t = np.einsum("bdn,bdt->bnt", w_c, x)
@@ -121,13 +117,13 @@ def _s6_core(seq: Tensor, params: list[S6Params]) -> Tensor:
         x, a, w_b, w_c, w_dn, w_up, b_dt
     )
 
-    tape = T._find_tape(seq, *(f for fs in fields for f in fs))
-    need_states = tape is not None
-    y, hs = _scan_forward(x, a, d_skip, b_t, c_t, abar, dbx, need_states)
+    # a tensor shared by several entries is listed once per entry; the tape
+    # sums its per-entry gradients
+    inputs = (seq, *(f for fs in fields for f in fs))
+    keep_states = T._find_tape(*inputs) is not None
+    y, hs = _scan_forward(x, a, d_skip, b_t, c_t, abar, dbx, keep_states)
     if not np.all(np.isfinite(y)):
         raise NumericError("s6 scan produced non-finite values")
-    if tape is None:
-        return Tensor(y)
 
     def backward(gy):
         gh = np.zeros_like(hs[:, 0])
@@ -163,16 +159,9 @@ def _s6_core(seq: Tensor, params: list[S6Params]) -> Tensor:
         g_a_log = g_a * a  # dA/dA_log = -exp(A_log) = A
 
         g_fields = (g_a_log, g_dskip, g_w_b, g_w_c, g_w_dn, g_w_up, g_b_dt)
-        # a tensor shared by several entries is listed once per entry; the
-        # tape sums its per-entry gradients
-        grads = [gx] if T._attached(seq) else []
-        grads += [g[k] for k, fs in enumerate(fields)
-                  for g, f in zip(g_fields, fs) if T._attached(f)]
-        return grads
+        return [gx] + [g[k] for k in range(nb) for g in g_fields]
 
-    parents = [seq] if T._attached(seq) else []
-    parents += [f for fs in fields for f in fs if T._attached(f)]
-    return tape.record(y, parents, backward)
+    return T.record(y, inputs, backward)
 
 
 def s6_forward_naive(seq: Tensor, p: S6Params) -> Tensor:

@@ -1,9 +1,12 @@
 """Dense tensors with a reverse-mode autodiff tape.
 
 Tensors wrap contiguous numpy arrays (float32 or float64). Operations are
-free functions; when any input is attached to a tape the result is recorded
-there, otherwise the op is a plain numpy computation. Backward walks the
-tape in reverse, accumulating gradients per node. Only trailing-dimension
+free functions that hand their output, all their inputs and a backward
+closure to `record`. When no input is attached to a tape the result is a
+plain Tensor. Otherwise the tape records every input; inputs that are None
+or off the tape get no parent id. The closure returns one gradient per
+input, and backward walks the tape in reverse, accumulating the gradients of
+inputs that have a parent id and dropping the rest. Only trailing-dimension
 (numpy) broadcasting is supported.
 """
 
@@ -86,12 +89,15 @@ class Tape:
         t.node_id = nid
         return t
 
-    def record(self, out_data, parents, backward) -> Tensor:
-        """Register one op output. `backward(g)` returns per-parent grads."""
+    def record(self, out_data, inputs, backward) -> Tensor:
+        """Register one op output over `inputs` (Tensors or None).
+
+        `backward(g)` returns one gradient per input. An input that is None
+        or off the tape gets parent id None, and its gradient is dropped."""
         if _DEBUG_NAN_CHECKS and not np.all(np.isfinite(out_data)):
             raise NumericError("non-finite values produced by a forward op")
         nid = len(self.nodes)
-        pids = tuple(p.node_id for p in parents)
+        pids = tuple(None if t is None else t.node_id for t in inputs)
         self.nodes.append(_Node(pids, backward))
         return Tensor(out_data, tape=self, node_id=nid)
 
@@ -109,9 +115,8 @@ class Tape:
             node = self.nodes[nid]
             if node.backward is None:
                 continue
-            parent_grads = node.backward(g)
-            for pid, pg in zip(node.parent_ids, parent_grads):
-                if pg is None:
+            for pid, pg in zip(node.parent_ids, node.backward(g)):
+                if pid is None:
                     continue
                 acc = self.grads.get(pid)
                 self.grads[pid] = pg if acc is None else acc + pg
@@ -134,8 +139,18 @@ def _find_tape(*tensors):
     return tape
 
 
-def _attached(t: Tensor) -> bool:
-    return t.tape is not None
+def record(out, inputs, backward) -> Tensor:
+    """Wrap an op output; record it when any of `inputs` is on a tape."""
+    tape = _find_tape(*inputs)
+    if tape is None:
+        return Tensor(out)
+    return tape.record(out, inputs, backward)
+
+
+def logistic(x):
+    """Elementwise 1 / (1 + exp(-x)) on numpy values, as exp(-softplus(-x)),
+    which is stable for large |x|."""
+    return np.exp(-np.logaddexp(0.0, -x))
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -150,28 +165,12 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 def _record_unary(a, out, dfn):
-    tape = _find_tape(a)
-    if tape is None:
-        return Tensor(out)
-    return tape.record(out, (a,), lambda g: (dfn(g),))
+    return record(out, (a,), lambda g: (dfn(g),))
 
 
 def _record_binary(a, b, out, dfa, dfb):
-    tape = _find_tape(a, b)
-    if tape is None:
-        return Tensor(out)
-    pa, pb = _attached(a), _attached(b)
-    parents = tuple(t for t, p in ((a, pa), (b, pb)) if p)
-
-    def backward(g):
-        grads = []
-        if pa:
-            grads.append(_unbroadcast(dfa(g), a.shape))
-        if pb:
-            grads.append(_unbroadcast(dfb(g), b.shape))
-        return grads
-
-    return tape.record(out, parents, backward)
+    return record(out, (a, b), lambda g: (_unbroadcast(dfa(g), a.shape),
+                                          _unbroadcast(dfb(g), b.shape)))
 
 
 def _check_broadcast(a: Tensor, b: Tensor, op: str):
@@ -225,50 +224,25 @@ def exp(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    # exp(-softplus(-x)) is stable for large |x|
-    out = np.exp(-np.logaddexp(0.0, -a.data))
+    out = logistic(a.data)
     return _record_unary(a, out, lambda g: g * out * (1.0 - out))
 
 
 def silu(a: Tensor) -> Tensor:
-    s = np.exp(-np.logaddexp(0.0, -a.data))
+    s = logistic(a.data)
     out = a.data * s
     return _record_unary(a, out, lambda g: g * (s + out * (1.0 - s)))
 
 
 def softplus(a: Tensor) -> Tensor:
     out = np.logaddexp(0.0, a.data)
-    s = np.exp(-np.logaddexp(0.0, -a.data))
+    s = logistic(a.data)
     return _record_unary(a, out, lambda g: g * s)
 
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
     return _record_unary(a, np.where(mask, a.data, 0.0), lambda g: g * mask)
-
-
-_UNARY_KINDS = {
-    "exp": exp,
-    "sigmoid": sigmoid,
-    "silu": silu,
-    "softplus": softplus,
-    "relu": relu,
-    "neg": neg,
-}
-_BINARY_KINDS = {"add": add, "sub": sub, "mul": mul, "div": div}
-
-
-def elementwise(kind: str, a: Tensor, b=None) -> Tensor:
-    """Dispatch by op name; `b` is a Tensor for binary kinds, a float for scale."""
-    if kind in _BINARY_KINDS:
-        if b is None:
-            raise ContractViolation(f"{kind} requires a second operand")
-        return _BINARY_KINDS[kind](a, b)
-    if kind == "scale-by-constant":
-        return scale(a, b)
-    if kind in _UNARY_KINDS:
-        return _UNARY_KINDS[kind](a)
-    raise ContractViolation(f"unknown elementwise kind {kind!r}")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -318,14 +292,6 @@ def reduce_mean(a: Tensor, axes=None) -> Tensor:
     return _record_unary(a, out, dfn)
 
 
-def reduce(kind: str, a: Tensor, axes=None) -> Tensor:
-    if kind == "sum":
-        return reduce_sum(a, axes)
-    if kind == "mean":
-        return reduce_mean(a, axes)
-    raise ContractViolation(f"unknown reduce kind {kind!r}")
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     out = a.data.reshape(shape)
@@ -335,19 +301,8 @@ def reshape(a: Tensor, shape) -> Tensor:
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = list(tensors)
     out = np.concatenate([t.data for t in tensors], axis=axis)
-    tape = _find_tape(*tensors)
-    if tape is None:
-        return Tensor(out)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-    parents = [t for t in tensors if _attached(t)]
-    mask = [_attached(t) for t in tensors]
-
-    def backward(g):
-        pieces = np.split(g, splits, axis=axis)
-        return [p for p, m in zip(pieces, mask) if m]
-
-    return tape.record(out, parents, backward)
+    splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+    return record(out, tensors, lambda g: np.split(g, splits, axis=axis))
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -370,17 +325,8 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 def stack(tensors, axis: int = 0) -> Tensor:
     tensors = list(tensors)
     out = np.stack([t.data for t in tensors], axis=axis)
-    tape = _find_tape(*tensors)
-    if tape is None:
-        return Tensor(out)
-    parents = [t for t in tensors if _attached(t)]
-    mask = [_attached(t) for t in tensors]
-
-    def backward(g):
-        pieces = np.moveaxis(g, axis, 0)
-        return [np.ascontiguousarray(pieces[i]) for i, m in enumerate(mask) if m]
-
-    return tape.record(out, parents, backward)
+    return record(out, tensors, lambda g: [
+        np.ascontiguousarray(piece) for piece in np.moveaxis(g, axis, 0)])
 
 
 def grad_check(f, x, eps: float = 1e-5) -> float:

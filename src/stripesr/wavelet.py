@@ -83,21 +83,10 @@ def iwt_haar(p: WaveletPair) -> Tensor:
     out[:, 1::2, 0::2] = xc
     out[:, 1::2, 1::2] = xd
 
-    tape = T._find_tape(p.low, p.high)
-    if tape is None:
-        return Tensor(out)
-    has_l, has_h = T._attached(p.low), T._attached(p.high)
-    parents = [t for t, a in ((p.low, has_l), (p.high, has_h)) if a]
-
     def backward(g):
         gll, glh, ghl, ghh = _haar_mix(
             g[:, 0::2, 0::2], g[:, 0::2, 1::2], g[:, 1::2, 0::2], g[:, 1::2, 1::2]
         )
-        grads = []
-        if has_l:
-            grads.append(gll)
-        if has_h:
-            grads.append(np.concatenate([glh, ghl, ghh], axis=0))
-        return grads
+        return gll, np.concatenate([glh, ghl, ghh], axis=0)
 
-    return tape.record(out, parents, backward)
+    return T.record(out, (p.low, p.high), backward)

@@ -4,11 +4,15 @@ Oracles here are deliberately naive (explicit loops, straight-line math) so
 they are independent of the vectorized implementations they check.
 """
 
+import json
+import struct
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from stripesr import tensor as T
-from stripesr.model import _init_array
+from stripesr.model import ModelConfig, _init_array
 
 
 def rng(seed=0):
@@ -26,6 +30,19 @@ def init_param_dict(specs, seed=0, dtype=np.float64):
     g = np.random.default_rng(seed)
     return {name: _init_array(shape, kind, g).astype(dtype)
             for name, shape, kind in specs}
+
+
+def absurd_shape_checkpoint(shape) -> bytes:
+    """HSRW bytes with a valid config and one parameter that declares
+    `shape` but stores no values."""
+    config = json.dumps(asdict(ModelConfig(bands=4, scale=2))).encode()
+    name = b"global.head.w"
+    return (b"HSRW" + struct.pack("<II", 1, len(config)) + config
+            + struct.pack("<II", 1, len(name)) + name
+            + struct.pack(f"<I{len(shape)}I", len(shape), *shape))
+
+
+ABSURD_SHAPES = [(2**31, 2**31), (2**31, 2**31, 2**31)]
 
 
 def as_leaves(raw, tape):

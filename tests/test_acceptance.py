@@ -226,12 +226,11 @@ def test_criterion_04_gradient_checks(capsys):
 
         # elementwise / shape / reduction ops
         x = g.normal(size=(2, 5))
-        for kind in ("exp", "sigmoid", "silu", "softplus"):
-            chk(lambda t, k=kind: T.reduce_sum(T.elementwise(k, t)), x)
+        for op in (T.exp, T.sigmoid, T.silu, T.softplus):
+            chk(lambda t, op=op: T.reduce_sum(op(t)), x)
         other = _t64(g.normal(size=(2, 5)) + 2.0)
-        for kind in ("add", "sub", "mul", "div"):
-            chk(lambda t, k=kind: T.reduce_sum(
-                T.sigmoid(T.elementwise(k, t, other))), x)
+        for op in (T.add, T.sub, T.mul, T.div):
+            chk(lambda t, op=op: T.reduce_sum(T.sigmoid(op(t, other))), x)
         mm = _t64(g.normal(size=(5, 3)))
         row = _t64(g.normal(size=(1, 5)))
         mate = _t64(g.normal(size=(2, 5)))

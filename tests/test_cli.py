@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import ABSURD_SHAPES, absurd_shape_checkpoint
 from stripesr import cli
 from stripesr.data import read_hsc, synth_cube, write_hsc
 
@@ -137,6 +138,15 @@ class TestTrainInferEval:
         assert run("infer", "--in", gt_path, "--ckpt", bad,
                    "--out", str(tmp_path / "x.hsc")) == 2
         assert "zzz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape", ABSURD_SHAPES, ids=["2d", "3d"])
+    def test_infer_absurd_shape_exit_2(self, gt_path, tmp_path, capsys, shape):
+        bad = str(tmp_path / "bad.hsrw")
+        with open(bad, "wb") as fh:
+            fh.write(absurd_shape_checkpoint(shape))
+        assert run("infer", "--in", gt_path, "--ckpt", bad,
+                   "--out", str(tmp_path / "x.hsc")) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestScanViz:

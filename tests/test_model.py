@@ -7,7 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from conftest import rng
+from conftest import ABSURD_SHAPES, absurd_shape_checkpoint, rng
 from stripesr import blocks, ops
 from stripesr import tensor as T
 from stripesr.errors import ContractViolation, FormatError
@@ -271,6 +271,16 @@ class TestCheckpoint:
         bad = str(tmp_path / "bad")
         with open(bad, "wb") as fh:
             fh.write(bytes(blob))
+        with pytest.raises(FormatError):
+            load_checkpoint(bad)
+
+    @pytest.mark.parametrize("shape", ABSURD_SHAPES, ids=["2d", "3d"])
+    def test_absurd_shape_rejected_before_reading(self, tmp_path, shape):
+        # 4 * 2^62 bytes overflows a read size, and 2^93 elements wrap an
+        # int64 count to 0
+        bad = str(tmp_path / "bad")
+        with open(bad, "wb") as fh:
+            fh.write(absurd_shape_checkpoint(shape))
         with pytest.raises(FormatError):
             load_checkpoint(bad)
 

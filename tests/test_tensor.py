@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import matmul_oracle, rel_err, rng
-from stripesr import tensor as T
+from stripesr import ops, tensor as T
 from stripesr.errors import ContractViolation, NumericError
+from stripesr.ops import ConvSpec
 from stripesr.tensor import Tape, Tensor
 
 
@@ -64,6 +65,27 @@ class TestTapeBackward:
         tape.backward(T.reduce_sum(x))
         np.testing.assert_array_equal(tape.grad(y), np.zeros(2))
 
+    def test_none_and_off_tape_inputs_get_no_parent(self):
+        # conv2d over an off-tape input and no bias: both get parent id None,
+        # and the weight gradient equals the one with the input on the tape
+        g = rng(20)
+        x, w = g.normal(size=(2, 5, 5)), g.normal(size=(3, 2, 3, 3))
+
+        def weight_grad(tape, xt):
+            wt = tape.leaf(w)
+            out = ops.conv2d(xt, wt, None, ConvSpec())
+            tape.backward(T.reduce_sum(T.sigmoid(out)))
+            return tape.nodes[out.node_id].parent_ids, wt.node_id, tape.grad(wt)
+
+        tape = Tape()
+        pids, wid, gw = weight_grad(tape, Tensor(x, dtype=np.float64))
+        assert pids == (None, wid, None)
+        assert None not in tape.grads
+        ref = Tape()
+        ref_pids, ref_wid, ref_gw = weight_grad(ref, ref.leaf(x))
+        assert ref_pids == (0, ref_wid, None)
+        np.testing.assert_array_equal(gw, ref_gw)
+
     def test_mixed_tape_rejected(self):
         a = Tape().leaf(np.ones(2))
         b = Tape().leaf(np.ones(2))
@@ -112,26 +134,23 @@ class TestElementwise:
         got = T.relu(Tensor([-1.0, 0.0, 2.0])).data
         np.testing.assert_array_equal(got, [0.0, 0.0, 2.0])
 
-    @pytest.mark.parametrize("kind", ["exp", "sigmoid", "silu", "softplus"])
-    def test_unary_grad_check(self, kind):
+    @pytest.mark.parametrize("op", [T.exp, T.sigmoid, T.silu, T.softplus],
+                             ids=lambda op: op.__name__)
+    def test_unary_grad_check(self, op):
         x = rng(3).normal(size=(2, 5))
-        err = T.grad_check(
-            lambda t: T.reduce_sum(T.elementwise(kind, t)), x)
+        err = T.grad_check(lambda t: T.reduce_sum(op(t)), x)
         assert err < 1e-6
 
-    @pytest.mark.parametrize("kind", ["add", "sub", "mul", "div"])
-    def test_binary_grad_check(self, kind):
+    @pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div],
+                             ids=lambda op: op.__name__)
+    def test_binary_grad_check(self, op):
         other = rng(4).normal(size=(3, 4)) + 2.0  # keep away from 0 for div
         x = rng(5).normal(size=(3, 4))
         err = T.grad_check(
             lambda t: T.reduce_sum(
-                T.sigmoid(T.elementwise(kind, t, Tensor(other, dtype=np.float64)))),
+                T.sigmoid(op(t, Tensor(other, dtype=np.float64)))),
             x)
         assert err < 1e-6
-
-    def test_unknown_elementwise_kind(self):
-        with pytest.raises(ContractViolation):
-            T.elementwise("cosh", Tensor([1.0]))
 
 
 class TestMatmul:
