@@ -321,6 +321,10 @@ def load_checkpoint(path: str) -> ModelWeights:
             shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "shape"))
             raw = _read_exact(fh, 4 * math.prod(shape), "data")
             params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        if fh.read(1):
+            raise FormatError(
+                f"trailing bytes after the last parameter at byte {fh.tell() - 1}"
+            )
     weights = ModelWeights(config=cfg, params=params)
     expected = {p: s for p, s, _ in param_specs(cfg)}
     got = {k: tuple(v.shape) for k, v in params.items()}

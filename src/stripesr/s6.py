@@ -7,8 +7,11 @@ The recurrence per channel d and state n over a token sequence x_t:
     h_t     = Abar_t * h_{t-1} + (delta_t * x_t) outer B_t (Euler for B)
     y_t     = <C_t, h_t> + D_skip * x_t
 
-B_t and C_t are linear projections of x_t shared across channels. One
-sequential scan with a fused hand-written backward serves every caller.
+B_t and C_t are linear projections of x_t shared across channels. Taped and
+untaped calls run one path: the token loop writes each h_t over its own
+decay Abar_t (time-major, T x B x d x n). The hand-written backward
+recomputes the decays, loops only over the dL/dh_t recurrence and computes
+every other gradient over all of T at once.
 """
 
 from __future__ import annotations
@@ -67,33 +70,15 @@ def delta_rank(d: int) -> int:
     return max(d // 16, 1)
 
 
-def _precompute(x, a, w_b, w_c, w_dn, w_up, b_dt):
-    """Per-token quantities for a (B, d, T) batch of sequences."""
-    code = np.einsum("brd,bdt->brt", w_dn, x)
-    raw = np.einsum("bdr,brt->bdt", w_up, code) + b_dt[:, :, None]
-    sig = T.logistic(raw)
-    delta = np.logaddexp(0.0, raw)
-    b_t = np.einsum("bdn,bdt->bnt", w_b, x)
-    c_t = np.einsum("bdn,bdt->bnt", w_c, x)
-    # time-major decay for cheap per-step slicing
-    abar = np.exp(delta.transpose(0, 2, 1)[:, :, :, None] * a[:, None, :, :])
-    dbx = delta * x
-    return code, sig, delta, b_t, c_t, abar, dbx
+def _time_major(v):
+    """(B, k, T) -> contiguous (T, B, k), so each token is one slice."""
+    return np.ascontiguousarray(v.transpose(2, 0, 1))
 
 
-def _scan_forward(x, a, d_skip, b_t, c_t, abar, dbx, keep_states):
-    nb, d, t = x.shape
-    n = a.shape[-1]
-    h = np.zeros((nb, d, n), dtype=x.dtype)
-    y = np.empty_like(x)
-    hs = np.empty((nb, t, d, n), dtype=x.dtype) if keep_states else None
-    for i in range(t):
-        h = abar[:, i] * h + dbx[:, :, i, None] * b_t[:, None, :, i]
-        if keep_states:
-            hs[:, i] = h
-        y[:, :, i] = np.einsum("bdn,bn->bd", h, c_t[:, :, i])
-    y += d_skip[:, :, None] * x
-    return y, hs
+def _decay(delta, a):
+    """Per-token decays exp(delta * A), time-major (T, B, d, n)."""
+    p = _time_major(delta)[..., None] * a
+    return np.exp(p, out=p)
 
 
 def _s6_core(seq: Tensor, params: list[S6Params]) -> Tensor:
@@ -113,55 +98,58 @@ def _s6_core(seq: Tensor, params: list[S6Params]) -> Tensor:
 
     x = seq.data
     a = -np.exp(a_log)
-    code, sig, delta, b_t, c_t, abar, dbx = _precompute(
-        x, a, w_b, w_c, w_dn, w_up, b_dt
-    )
+    code = np.einsum("brd,bdt->brt", w_dn, x)
+    delta = np.logaddexp(0.0, np.einsum("bdr,brt->bdt", w_up, code)
+                         + b_dt[:, :, None])
+    b_t = np.einsum("bdn,bdt->bnt", w_b, x)
+    c_t = np.einsum("bdn,bdt->bnt", w_c, x)
+    dbx = delta * x
 
-    # a tensor shared by several entries is listed once per entry; the tape
-    # sums its per-entry gradients
-    inputs = (seq, *(f for fs in fields for f in fs))
-    keep_states = T._find_tape(*inputs) is not None
-    y, hs = _scan_forward(x, a, d_skip, b_t, c_t, abar, dbx, keep_states)
+    # each state overwrites its own decay, so `hs` is the decay buffer
+    hs = _decay(delta, a)
+    u, bt = _time_major(dbx)[..., None], _time_major(b_t)[:, :, None, :]
+    h = np.zeros_like(hs[0])
+    for i in range(t):
+        h = hs[i] * h + u[i] * bt[i]
+        hs[i] = h
+    y = np.einsum("tbdn,bnt->bdt", hs, c_t) + d_skip[:, :, None] * x
     if not np.all(np.isfinite(y)):
         raise NumericError("s6 scan produced non-finite values")
 
     def backward(gy):
-        gh = np.zeros_like(hs[:, 0])
-        gx = gy * d_skip[:, :, None]
-        g_dskip = np.einsum("bdt,bdt->bd", gy, x)
-        g_ct = np.empty_like(c_t)
-        g_bt = np.empty_like(b_t)
-        g_delta = np.zeros_like(delta)
-        g_a = np.zeros_like(a)
-        for i in range(t - 1, -1, -1):
-            g_ct[:, :, i] = np.einsum("bdn,bd->bn", hs[:, i], gy[:, :, i])
-            gh += gy[:, :, i, None] * c_t[:, None, :, i]
-            h_prev = hs[:, i - 1] if i > 0 else np.zeros_like(gh)
-            g_abar = gh * h_prev
-            ga_full = g_abar * abar[:, i]
-            g_delta[:, :, i] = np.einsum("bdn,bdn->bd", ga_full, a)
-            g_a += ga_full * delta[:, :, i, None]
-            g_dbx = np.einsum("bdn,bn->bd", gh, b_t[:, :, i])
-            g_bt[:, :, i] = np.einsum("bdn,bd->bn", gh, dbx[:, :, i])
-            g_delta[:, :, i] += g_dbx * x[:, :, i]
-            gx[:, :, i] += g_dbx * delta[:, :, i]
-            gh = gh * abar[:, i]
-        g_raw = g_delta * sig
+        abar = _decay(delta, a)
+        # gh[i] = dL/dh_i; only this recurrence runs token by token
+        gh = _time_major(gy)[..., None] * _time_major(c_t)[:, :, None, :]
+        for i in range(t - 2, -1, -1):
+            gh[i] += abar[i + 1] * gh[i + 1]
+        g_ct = np.einsum("tbdn,bdt->bnt", hs, gy)
+        g_bt = np.einsum("tbdn,bdt->bnt", gh, dbx)
+        g_dbx = np.einsum("tbdn,bnt->bdt", gh, b_t)
+        # dL/d(delta_i * A) = gh_i * abar_i * h_{i-1}, with h_{-1} = 0
+        g_da = np.multiply(abar, gh, out=abar)
+        g_da[1:] *= hs[:-1]
+        g_da[0] = 0.0
+        g_delta = np.einsum("tbdn,bdn->bdt", g_da, a) + g_dbx * x
+        g_a_log = np.einsum("tbdn,bdt->bdn", g_da, delta) * a  # dA/dA_log = A
+        g_raw = g_delta * -np.expm1(-delta)  # softplus' = 1 - exp(-softplus)
         g_b_dt = g_raw.sum(axis=2)
         g_w_up = np.einsum("bdt,brt->bdr", g_raw, code)
         g_code = np.einsum("bdr,bdt->brt", w_up, g_raw)
         g_w_dn = np.einsum("brt,bdt->brd", g_code, x)
-        gx += np.einsum("brd,brt->bdt", w_dn, g_code)
+        g_dskip = np.einsum("bdt,bdt->bd", gy, x)
         g_w_b = np.einsum("bnt,bdt->bdn", g_bt, x)
-        gx += np.einsum("bdn,bnt->bdt", w_b, g_bt)
         g_w_c = np.einsum("bnt,bdt->bdn", g_ct, x)
-        gx += np.einsum("bdn,bnt->bdt", w_c, g_ct)
-        g_a_log = g_a * a  # dA/dA_log = -exp(A_log) = A
+        gx = (gy * d_skip[:, :, None] + g_dbx * delta
+              + np.einsum("brd,brt->bdt", w_dn, g_code)
+              + np.einsum("bdn,bnt->bdt", w_b, g_bt)
+              + np.einsum("bdn,bnt->bdt", w_c, g_ct))
 
         g_fields = (g_a_log, g_dskip, g_w_b, g_w_c, g_w_dn, g_w_up, g_b_dt)
         return [gx] + [g[k] for k in range(nb) for g in g_fields]
 
-    return T.record(y, inputs, backward)
+    # a tensor shared by several entries is listed once per entry; the tape
+    # sums its per-entry gradients
+    return T.record(y, (seq, *(f for fs in fields for f in fs)), backward)
 
 
 def s6_forward_naive(seq: Tensor, p: S6Params) -> Tensor:

@@ -35,40 +35,31 @@ class ScanOrder:
         return self.h * self.w
 
 
-def _raster_base(h: int, w: int) -> np.ndarray:
-    return np.arange(h * w, dtype=np.intp)
+def _tile_base(h: int, w: int, th: int, tw: int) -> np.ndarray:
+    """Row-major over th x tw tiles, row-major within each tile: raster is
+    one tile, a stripe a full-height tile as wide as the stripe, a window a
+    square tile."""
+    rows, cols = divmod(np.arange(h * w, dtype=np.intp), w)
+    return np.lexsort((cols, rows, cols // tw, rows // th)).astype(np.intp)
 
 
-def _stripe_base(h: int, w: int, length: int) -> np.ndarray:
-    flat = np.arange(h * w, dtype=np.intp)
-    rows, cols = divmod(flat, w)
-    return np.lexsort((cols, rows, cols // length)).astype(np.intp)
-
-
-def _window_base(h: int, w: int, win: int) -> np.ndarray:
-    flat = np.arange(h * w, dtype=np.intp)
-    rows, cols = divmod(flat, w)
-    return np.lexsort((cols, rows, cols // win, rows // win)).astype(np.intp)
-
-
-def _directional(base, h: int, w: int, param: int, direction: int) -> np.ndarray:
+def _make(kind: str, h: int, w: int, param: int, direction: int,
+          tile: tuple[int, int]) -> ScanOrder:
+    """`tile` is (th, tw) on the grid or its transpose; a tile dim of h * w
+    spans the whole grid side in either orientation."""
+    if h < 1 or w < 1:
+        raise ContractViolation(f"grid dims must be positive, got {h}x{w}")
     if direction in (0, 1):
-        perm = base(h, w, param) if param else base(h, w)
+        perm = _tile_base(h, w, *tile)
     elif direction in (2, 3):
         # build on the transposed grid, then map positions back
-        q = base(w, h, param) if param else base(w, h)
+        q = _tile_base(w, h, *tile)
         perm = (q % h) * w + q // h
     else:
         raise ContractViolation(f"direction must be in 0..3, got {direction}")
     if direction in (1, 3):
         perm = perm[::-1]
-    return np.ascontiguousarray(perm)
-
-
-def _make(kind: str, h: int, w: int, param: int, direction: int, base) -> ScanOrder:
-    if h < 1 or w < 1:
-        raise ContractViolation(f"grid dims must be positive, got {h}x{w}")
-    perm = _directional(base, h, w, param, direction)
+    perm = np.ascontiguousarray(perm)
     inv = np.empty_like(perm)
     inv[perm] = np.arange(perm.size, dtype=np.intp)
     # orders are cached and shared between callers
@@ -78,19 +69,19 @@ def _make(kind: str, h: int, w: int, param: int, direction: int, base) -> ScanOr
 
 
 def raster_order(h: int, w: int, direction: int = 0) -> ScanOrder:
-    return _make("raster", h, w, 0, direction, lambda hh, ww: _raster_base(hh, ww))
+    return _make("raster", h, w, 0, direction, (h * w, h * w))
 
 
 def stripe_order(h: int, w: int, length: int, direction: int = 0) -> ScanOrder:
     if length < 1:
         raise ContractViolation("stripe length must be >= 1")
-    return _make("stripe", h, w, length, direction, _stripe_base)
+    return _make("stripe", h, w, length, direction, (h * w, length))
 
 
 def window_order(h: int, w: int, win: int, direction: int = 0) -> ScanOrder:
     if win < 1:
         raise ContractViolation("window size must be >= 1")
-    return _make("window", h, w, win, direction, _window_base)
+    return _make("window", h, w, win, direction, (win, win))
 
 
 def make_order(kind: str, h: int, w: int, param: int, direction: int = 0) -> ScanOrder:

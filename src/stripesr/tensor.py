@@ -80,6 +80,7 @@ class Tape:
     def __init__(self):
         self.nodes: list[_Node] = []
         self.grads: dict[int, np.ndarray] = {}
+        self.spent = False  # backward has run and freed the closures
 
     def leaf(self, data, dtype=None) -> Tensor:
         t = Tensor(data, dtype=dtype)
@@ -102,20 +103,27 @@ class Tape:
         return Tensor(out_data, tape=self, node_id=nid)
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate grads for every node reachable from a scalar loss."""
+        """Accumulate grads for every leaf reachable from a scalar loss.
+
+        Runs once per tape: it drops each closure and each non-leaf gradient
+        as it passes, so the tape frees the forward's tensors."""
         if loss.tape is not self or loss.node_id is None:
             raise ContractViolation("loss is not attached to this tape")
         if loss.size != 1:
             raise ContractViolation("backward requires a scalar loss")
+        if self.spent:
+            raise ContractViolation("backward already ran on this tape")
+        self.spent = True
         self.grads = {loss.node_id: np.ones_like(loss.data)}
-        for nid in range(loss.node_id, -1, -1):
-            g = self.grads.get(nid)
+        for nid in range(len(self.nodes) - 1, -1, -1):
+            node = self.nodes[nid]
+            fn, node.backward = node.backward, None
+            if fn is None:
+                continue  # a leaf keeps its gradient
+            g = self.grads.pop(nid, None)
             if g is None:
                 continue
-            node = self.nodes[nid]
-            if node.backward is None:
-                continue
-            for pid, pg in zip(node.parent_ids, node.backward(g)):
+            for pid, pg in zip(node.parent_ids, fn(g)):
                 if pid is None:
                     continue
                 acc = self.grads.get(pid)

@@ -448,6 +448,7 @@ def test_criterion_08_degradation_protocol(capsys):
                                        atol=1e-6)
 
 
+@pytest.mark.slow
 def test_criterion_09_trainability(capsys):
     with criterion(capsys, 9, "one-patch overfit trainability"):
         t0 = time.perf_counter()
@@ -462,6 +463,7 @@ def test_criterion_09_trainability(capsys):
         assert time.perf_counter() - t0 < 600.0
 
 
+@pytest.mark.slow
 def test_criterion_10_ablation_harness(capsys, tmp_path):
     with criterion(capsys, 10, "scan-order ablation harness"):
         kinds = ("stripe", "raster", "window")
@@ -480,6 +482,7 @@ def test_criterion_10_ablation_harness(capsys, tmp_path):
         assert lines[0] == "scan,final_loss" and len(lines) == 4
 
 
+@pytest.mark.slow
 def test_criterion_11_determinism(capsys, tmp_path):
     with criterion(capsys, 11, "determinism and byte-exact formats"):
         mcfg, cfg, weights, curve, gt, lr = overfit_run("stripe")

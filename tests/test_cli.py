@@ -8,6 +8,7 @@ import pytest
 from conftest import ABSURD_SHAPES, absurd_shape_checkpoint
 from stripesr import cli
 from stripesr.data import read_hsc, synth_cube, write_hsc
+from stripesr.model import ModelConfig, init_weights, save_checkpoint
 
 
 def run(*argv):
@@ -138,6 +139,15 @@ class TestTrainInferEval:
         assert run("infer", "--in", gt_path, "--ckpt", bad,
                    "--out", str(tmp_path / "x.hsc")) == 2
         assert "zzz" in capsys.readouterr().err
+
+    def test_infer_trailing_bytes_exit_2(self, gt_path, tmp_path, capsys):
+        ckpt = str(tmp_path / "m.hsrw")
+        save_checkpoint(init_weights(ModelConfig(bands=4, scale=2)), ckpt)
+        with open(ckpt, "ab") as fh:
+            fh.write(b"\0")
+        assert run("infer", "--in", gt_path, "--ckpt", ckpt,
+                   "--out", str(tmp_path / "x.hsc")) == 2
+        assert "trailing bytes" in capsys.readouterr().err
 
     @pytest.mark.parametrize("shape", ABSURD_SHAPES, ids=["2d", "3d"])
     def test_infer_absurd_shape_exit_2(self, gt_path, tmp_path, capsys, shape):

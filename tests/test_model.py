@@ -284,20 +284,22 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_checkpoint(bad)
 
-    @pytest.mark.parametrize("config,name", [
-        (b"{not json", None),
-        (b"\xff\xfe", None),
-        (b"[1, 2]", None),
-        (json.dumps({**asdict(MICRO), "zzz": 1}).encode(), None),
-        (json.dumps({**asdict(MICRO), "bands": "4"}).encode(), None),
-        (json.dumps({**asdict(MICRO), "hidden": 16.0}).encode(), None),
-        (json.dumps({**asdict(MICRO), "levels": True}).encode(), None),
-        (json.dumps({"scale": 2}).encode(), None),
-        (None, b"\xff\xfe"),
+    @pytest.mark.parametrize("config,name,tail", [
+        (b"{not json", None, b""),
+        (b"\xff\xfe", None, b""),
+        (b"[1, 2]", None, b""),
+        (json.dumps({**asdict(MICRO), "zzz": 1}).encode(), None, b""),
+        (json.dumps({**asdict(MICRO), "bands": "4"}).encode(), None, b""),
+        (json.dumps({**asdict(MICRO), "hidden": 16.0}).encode(), None, b""),
+        (json.dumps({**asdict(MICRO), "levels": True}).encode(), None, b""),
+        (json.dumps({"scale": 2}).encode(), None, b""),
+        (None, b"\xff\xfe", b""),
+        (None, None, b"\0"),
     ], ids=["bad-json", "bad-utf8", "not-object", "unknown-key",
             "str-for-int", "float-for-int", "bool-for-int", "missing-key",
-            "bad-utf8-name"])
-    def test_malformed_config_or_name_rejected(self, tmp_path, config, name):
+            "bad-utf8-name", "trailing-bytes"])
+    def test_malformed_config_or_name_rejected(self, tmp_path, config, name,
+                                               tail):
         src = str(tmp_path / "m.hsrw")
         save_checkpoint(init_weights(MICRO), src)
         blob = open(src, "rb").read()
@@ -309,6 +311,8 @@ class TestCheckpoint:
             body = body[:8] + name + body[8 + len(name):]
         bad = str(tmp_path / "bad")
         with open(bad, "wb") as fh:
-            fh.write(head + body)
-        with pytest.raises(FormatError):
+            fh.write(head + body + tail)
+        with pytest.raises(FormatError) as err:
             load_checkpoint(bad)
+        if tail:
+            assert f"byte {len(blob)}" in str(err.value)

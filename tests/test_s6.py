@@ -8,12 +8,16 @@ from stripesr import tensor as T
 from stripesr.errors import ContractViolation
 from stripesr.s6 import (
     S6Params,
+    _s6_core,
     delta_rank,
     s6_forward_naive,
     ss2d,
 )
 from stripesr.scan import gather_tokens, scatter_tokens, stripe_order
-from stripesr.tensor import Tensor
+from stripesr.tensor import Tape, Tensor
+
+
+KEYS = ["a_log", "d_skip", "w_b", "w_c", "w_dt_down", "w_dt_up", "b_dt"]
 
 
 def make_params(seed, d, n, dtype=np.float64, scale=0.5):
@@ -89,27 +93,71 @@ class TestNaiveForward:
             s6_forward_naive(Tensor(np.zeros((2, 4))), bad)
 
 
+class TestCore:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_taped_and_untaped_outputs_bit_identical(self, dtype):
+        sets = [make_params(50 + k, 4, 8, dtype=dtype) for k in range(3)]
+        x = rng(51).normal(size=(3, 4, 17)).astype(dtype)
+        plain = _s6_core(Tensor(x), [p for p, _ in sets])
+        tape = Tape()
+        taped = _s6_core(tape.leaf(x), [
+            S6Params(**{k: tape.leaf(np.asarray(v, dtype)) for k, v in raw.items()})
+            for _, raw in sets])
+        assert plain.node_id is None and taped.node_id is not None
+        assert plain.dtype == taped.dtype == dtype
+        np.testing.assert_array_equal(plain.data, taped.data)
+
+
 class TestGradients:
-    def test_input_gradient(self):
+    @staticmethod
+    def _input_err(t):
         p, _ = make_params(15, 2, 3)
-        x = rng(16).normal(size=(2, 6))
-        err = T.grad_check(
-            lambda t: T.reduce_sum(T.sigmoid(s6_forward_naive(t, p))), x)
-        assert err < 2e-3
+        x = rng(16).normal(size=(2, t))
+        return T.grad_check(
+            lambda s: T.reduce_sum(T.sigmoid(s6_forward_naive(s, p))), x)
 
-    @pytest.mark.parametrize(
-        "key", ["a_log", "d_skip", "w_b", "w_c", "w_dt_down", "w_dt_up", "b_dt"])
-    def test_parameter_gradients(self, key):
+    @staticmethod
+    def _param_err(key, t):
         _, raw = make_params(17, 2, 3)
-        x = rng(18).normal(size=(2, 6))
+        x = rng(18).normal(size=(2, t))
 
-        def f(t):
-            kw = {k: (t if k == key else Tensor(v, dtype=np.float64))
+        def f(s):
+            kw = {k: (s if k == key else Tensor(v, dtype=np.float64))
                   for k, v in raw.items()}
             return T.reduce_sum(T.sigmoid(
                 s6_forward_naive(Tensor(x, dtype=np.float64), S6Params(**kw))))
 
-        assert T.grad_check(f, raw[key].copy()) < 2e-3
+        return T.grad_check(f, raw[key].copy())
+
+    def test_input_gradient(self):
+        assert self._input_err(6) < 2e-3
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_parameter_gradients(self, key):
+        assert self._param_err(key, 6) < 2e-3
+
+    # at T=1 each token loop makes one step and no state has a predecessor
+    @pytest.mark.parametrize("t", [1, 2])
+    @pytest.mark.parametrize("key", ["x"] + KEYS)
+    def test_short_sequences(self, key, t):
+        err = self._input_err(t) if key == "x" else self._param_err(key, t)
+        assert err < 2e-3
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_each_entry_of_a_batched_call(self, key):
+        # three distinct parameter sets in one _s6_core call; each entry's
+        # gradient must reach its own parameters
+        raws = [make_params(40 + k, 2, 3)[1] for k in range(3)]
+        x = Tensor(rng(41).normal(size=(3, 2, 5)), dtype=np.float64)
+        for k in range(3):
+            def f(s):
+                return T.reduce_sum(T.sigmoid(_s6_core(x, [
+                    S6Params(**{name: (s if (j, name) == (k, key)
+                                       else Tensor(v, dtype=np.float64))
+                                for name, v in raw.items()})
+                    for j, raw in enumerate(raws)])))
+
+            assert T.grad_check(f, raws[k][key].copy()) < 2e-3, k
 
 
 class TestSs2d:
@@ -137,8 +185,7 @@ class TestSs2d:
         live, _ = make_params(20, d, n)
         dead = S6Params(**{
             k: Tensor(np.zeros_like(getattr(live, k).data))
-            for k in ("a_log", "d_skip", "w_b", "w_c",
-                      "w_dt_down", "w_dt_up", "b_dt")})
+            for k in KEYS})
         orders = self._orders(4, 6)
         x = Tensor(rng(21).normal(size=(d, 4, 6)), dtype=np.float64)
         for which in range(4):

@@ -58,6 +58,16 @@ class TestTapeBackward:
         with pytest.raises(ContractViolation):
             tape.backward(x)
 
+    def test_second_backward_rejected(self):
+        # backward frees the tape's closures, so it runs once per tape
+        tape = Tape()
+        x = tape.leaf(np.array([1.0, 2.0]))
+        loss = T.reduce_sum(T.mul(x, x))
+        tape.backward(loss)
+        with pytest.raises(ContractViolation):
+            tape.backward(loss)
+        np.testing.assert_array_equal(tape.grad(x), [2.0, 4.0])
+
     def test_grad_of_unused_leaf_is_zero(self):
         tape = Tape()
         x = tape.leaf(np.ones(3))

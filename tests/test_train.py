@@ -1,11 +1,16 @@
 """Training loop: sampling, determinism, early stop, loss bookkeeping."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from stripesr import ops
 from stripesr.data import degrade, synth_cube
 from stripesr.errors import ContractViolation, NumericError
-from stripesr.model import ModelConfig, init_weights
+from stripesr.model import ModelConfig, forward, init_weights
+from stripesr.tensor import Tape, Tensor
 from stripesr.train import (
     TrainConfig,
     default_gt_patch,
@@ -185,3 +190,28 @@ class TestLossCsv:
         assert lines[0] == "step,loss"
         assert lines[1].startswith("0,0.5")
         assert lines[2].startswith("1,0.25")
+
+
+class TestTapeLifetime:
+    def test_finished_step_frees_its_tape_without_gc(self):
+        # backward drops the closures that tie the tape to the forward's
+        # tensors, so reference counting alone frees a finished step
+        (lr, gt), = micro_dataset()
+        weights = init_weights(MICRO)
+
+        def step():
+            tape = Tape()
+            params = weights.as_tensors(tape)
+            pred = forward(Tensor(lr), params, MICRO)
+            tape.backward(ops.l1_loss(pred, Tensor(gt)))
+            grads = {k: tape.grad(t) for k, t in params.items()}
+            return weakref.ref(tape), grads
+
+        gc.collect()
+        gc.disable()
+        try:
+            tape_ref, grads = step()
+            assert tape_ref() is None
+        finally:
+            gc.enable()
+        assert any(np.abs(g).max() > 0 for g in grads.values())
