@@ -3,7 +3,8 @@
 The HSC container: magic `HSC1`, u32 bands/height/width, f32 value-range
 (lo, hi), then bands*height*width little-endian f32 values, band-major
 row-major. Roundtrip through write/read is byte-exact for in-range data;
-out-of-range values are clamped (and logged) on ingest.
+out-of-range values are clamped (and logged) on ingest, and a non-finite
+value is a FormatError.
 """
 
 from __future__ import annotations
@@ -78,7 +79,13 @@ def read_hsc(path: str) -> HsiCube:
                 f"expected {expected} bytes, got {stored}"
             )
         payload = fh.read(expected)
-    data = np.frombuffer(payload, dtype="<f4").reshape(c, h, w).copy()
+    data = np.frombuffer(payload, dtype="<f4").reshape(c, h, w)
+    finite = np.isfinite(data)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise FormatError(
+            f"non-finite HSC value at byte {HSC_HEADER.size + 4 * first}"
+        )
     clipped = np.clip(data, lo, hi)
     n_clamped = int(np.count_nonzero(clipped != data))
     if n_clamped:

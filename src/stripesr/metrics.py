@@ -5,6 +5,11 @@ any external script): PSNR and SSIM are per-band values averaged over bands;
 a zero-MSE band contributes the 99.0 dB cap; SSIM uses uniform 8x8 windows
 at stride 1; SAM is the mean per-pixel spectral angle in degrees; ERGAS is
 100/s * sqrt(mean_b(MSE_b / mu_b^2)) with mu_b the reference band mean.
+
+SSIM's window means are box sums: for one band, SSIM_WINDOW - 1 in-place adds
+of row-shifted slices, then as many of column-shifted slices, divided by the
+window area. Every temporary is one band-sized array, and no window products
+are materialised.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractViolation, NumericError
 from .data import HsiCube
@@ -22,10 +26,10 @@ SSIM_WINDOW = 8
 
 
 def _as_cube_array(x) -> np.ndarray:
-    arr = x.data if isinstance(x, HsiCube) else np.asarray(x)
+    arr = np.asarray(x.data if isinstance(x, HsiCube) else x, dtype=np.float64)
     if arr.ndim != 3:
         raise ContractViolation("metrics expect (C, H, W) cubes")
-    return arr.astype(np.float64)
+    return arr
 
 
 def _check_pair(x, y):
@@ -59,22 +63,33 @@ def psnr(x, y, peak: float = 1.0) -> float:
     return float(np.minimum(vals, PSNR_CAP_DB).mean())
 
 
+def _box_mean(x: np.ndarray) -> np.ndarray:
+    """Mean of every SSIM_WINDOW x SSIM_WINDOW window of the 2-D band `x`."""
+    k = SSIM_WINDOW
+    h, w = x.shape[0] - k + 1, x.shape[1] - k + 1
+    rows = x[:h].copy()
+    for i in range(1, k):
+        rows += x[i : i + h]
+    box = rows[:, :w].copy()
+    for j in range(1, k):
+        box += rows[:, j : j + w]
+    box /= k * k
+    return box
+
+
 def ssim(x, y, peak: float = 1.0) -> float:
     a, b = _check_pair(x, y)
     if a.shape[1] < SSIM_WINDOW or a.shape[2] < SSIM_WINDOW:
         raise ContractViolation(f"ssim needs H, W >= {SSIM_WINDOW}")
     c1 = (0.01 * peak) ** 2
     c2 = (0.03 * peak) ** 2
-    n = SSIM_WINDOW * SSIM_WINDOW
     total = 0.0
-    for band in range(a.shape[0]):
-        wa = sliding_window_view(a[band], (SSIM_WINDOW, SSIM_WINDOW))
-        wb = sliding_window_view(b[band], (SSIM_WINDOW, SSIM_WINDOW))
-        mu_a = wa.mean(axis=(2, 3))
-        mu_b = wb.mean(axis=(2, 3))
-        var_a = (wa * wa).sum(axis=(2, 3)) / n - mu_a * mu_a
-        var_b = (wb * wb).sum(axis=(2, 3)) / n - mu_b * mu_b
-        cov = (wa * wb).sum(axis=(2, 3)) / n - mu_a * mu_b
+    for ba, bb in zip(a, b):
+        mu_a = _box_mean(ba)
+        mu_b = _box_mean(bb)
+        var_a = _box_mean(ba * ba) - mu_a * mu_a
+        var_b = _box_mean(bb * bb) - mu_b * mu_b
+        cov = _box_mean(ba * bb) - mu_a * mu_b
         num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
         den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
         total += float((num / den).mean())
@@ -120,9 +135,11 @@ def ergas(x_ref, y_est, scale: int) -> float:
 
 
 def compute_report(pred, gt, scale: int, peak: float = 1.0) -> MetricReport:
+    # cast once; the metrics only read their inputs, so they share the arrays
+    a, b = _check_pair(pred, gt)
     return MetricReport(
-        psnr=psnr(pred, gt, peak),
-        ssim=ssim(pred, gt, peak),
-        sam=sam(pred, gt),
-        ergas=ergas(gt, pred, scale),
+        psnr=psnr(a, b, peak),
+        ssim=ssim(a, b, peak),
+        sam=sam(a, b),
+        ergas=ergas(b, a, scale),
     )

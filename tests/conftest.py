@@ -123,6 +123,29 @@ def s6_oracle(x, a_log, d_skip, w_b, w_c, w_dt_down, w_dt_up, b_dt):
     return y
 
 
+def ssim_oracle(a, b, peak=1.0):
+    """Per-window loop of uniform 8x8-window SSIM, averaged over windows
+    and then over bands."""
+    window = 8
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    c1, c2 = (0.01 * peak) ** 2, (0.03 * peak) ** 2
+    bands = []
+    for c in range(a.shape[0]):
+        vals = []
+        for i in range(a.shape[1] - window + 1):
+            for j in range(a.shape[2] - window + 1):
+                wa = a[c, i : i + window, j : j + window]
+                wb = b[c, i : i + window, j : j + window]
+                mu_a, mu_b = wa.mean(), wb.mean()
+                cov = ((wa - mu_a) * (wb - mu_b)).mean()
+                vals.append((2 * mu_a * mu_b + c1) * (2 * cov + c2)
+                            / ((mu_a**2 + mu_b**2 + c1)
+                               * (wa.var() + wb.var() + c2)))
+        bands.append(np.mean(vals))
+    return float(np.mean(bands))
+
+
 @pytest.fixture
 def tmp_cube_path(tmp_path):
     return str(tmp_path / "cube.hsc")

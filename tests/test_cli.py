@@ -159,6 +159,32 @@ class TestTrainInferEval:
         assert capsys.readouterr().err.startswith("error:")
 
 
+def write_with_nan(src, dst):
+    cube = read_hsc(src)
+    cube.data[0, 1, 1] = np.nan  # HsiCube does not check values
+    write_hsc(cube, dst)
+
+
+class TestNonFiniteInput:
+    def test_eval_nan_pred_exit_2(self, gt_path, tmp_path, capsys):
+        pred = str(tmp_path / "pred.hsc")
+        csv = tmp_path / "m.csv"
+        write_with_nan(gt_path, pred)
+        assert run("eval", "--pred", pred, "--gt", gt_path, "--scale", "2",
+                   "--csv", str(csv)) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not csv.exists()
+
+    def test_infer_nan_lr_exit_2(self, gt_path, tmp_path, capsys):
+        lr = str(tmp_path / "lr.hsc")
+        ckpt = str(tmp_path / "m.hsrw")
+        write_with_nan(gt_path, lr)
+        save_checkpoint(init_weights(ModelConfig(bands=4, scale=2)), ckpt)
+        assert run("infer", "--in", lr, "--ckpt", ckpt,
+                   "--out", str(tmp_path / "x.hsc")) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+
 class TestScanViz:
     def test_text_grid_matches_hand_enumeration(self, tmp_path):
         out = str(tmp_path / "viz")

@@ -89,6 +89,19 @@ class TestHscFormat:
         assert cube.data.min() >= 0.0 and cube.data.max() <= 1.0
         assert any("clamp" in r.message for r in caplog.records)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "+inf", "-inf"])
+    def test_non_finite_payload_rejected_with_byte_offset(self, tmp_cube_path,
+                                                          bad):
+        data = np.full((2, 2, 3), 0.5, dtype=np.float32)
+        data[1, 0, 2] = bad  # value 8 -> byte 24 + 4 * 8
+        with open(tmp_cube_path, "wb") as fh:
+            fh.write(b"HSC1" + struct.pack("<IIIff", 2, 2, 3, 0.0, 1.0)
+                     + data.astype("<f4").tobytes())
+        with pytest.raises(FormatError) as err:
+            read_hsc(tmp_cube_path)
+        assert "byte 56" in str(err.value)
+
     def test_invalid_value_range_rejected(self):
         with pytest.raises(ContractViolation):
             HsiCube(np.zeros((1, 2, 2), dtype=np.float32),

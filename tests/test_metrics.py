@@ -1,9 +1,11 @@
 """PSNR, SSIM, SAM, ERGAS straight-line oracles and edge cases."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import rng
+from conftest import rel_err, rng, ssim_oracle
 from stripesr.data import HsiCube
 from stripesr.errors import ContractViolation, NumericError
 from stripesr.metrics import (
@@ -84,6 +86,29 @@ class TestSsim:
                 total.append(((2 * mu_a * mu_b + c1) * (2 * cov + c2))
                              / ((mu_a**2 + mu_b**2 + c1) * (va + vb + c2)))
         assert ssim(a, b) == pytest.approx(np.mean(total), rel=1e-9)
+
+    @pytest.mark.parametrize("peak", [1.0, 0.5])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 8, 8), (3, 9, 13), (2, 17, 10)])
+    def test_matches_window_loop_oracle(self, shape, dtype, peak):
+        g = rng(11)
+        a = (peak * g.random(shape)).astype(dtype)
+        b = np.clip(a + g.normal(0.0, 0.1 * peak, shape), 0.0, peak).astype(dtype)
+        assert rel_err(ssim(a, b, peak), ssim_oracle(a, b, peak)) < 1e-9
+
+    def test_peak_memory_bounded_by_bands(self):
+        # each temporary is one 256x256 float64 band (0.5 MB); window
+        # products of all 8x8 windows would be 31.7 MB each
+        g = rng(12)
+        a = g.random((2, 256, 256))
+        b = g.random((2, 256, 256))
+        tracemalloc.start()
+        try:
+            ssim(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_too_small_window_rejected(self):
         with pytest.raises(ContractViolation):
