@@ -21,7 +21,7 @@ from .model import (
     save_checkpoint,
     load_checkpoint,
 )
-from .scan import ScanOrder, raster_order, stripe_order, window_order, make_order
+from .scan import ScanOrder, make_order
 from .train import TrainConfig, train, sample_patches
 
 __version__ = "0.1.0"
@@ -33,6 +33,6 @@ __all__ = [
     "MetricReport", "psnr", "ssim", "sam", "sam_error_map", "ergas",
     "ModelConfig", "ModelWeights", "init_weights", "forward", "infer",
     "count_params", "estimate_flops", "save_checkpoint", "load_checkpoint",
-    "ScanOrder", "raster_order", "stripe_order", "window_order", "make_order",
+    "ScanOrder", "make_order",
     "TrainConfig", "train", "sample_patches",
 ]

@@ -2,7 +2,8 @@
 
 Each block comes as a pair: a `*_specs` function enumerating its parameters
 as (path, shape, init-kind) triples, and a `*_forward` function consuming a
-ParamView holding those tensors. Paths follow the checkpoint convention
+ParamView holding those tensors and the four scan orders of its stage
+(`four_orders`). Paths follow the checkpoint convention
 `<stage>.<level>.<block>.<param>` once the model prefixes them.
 
 Head/Tail inside every block are 3x3 convolutions mapping the channel count
@@ -12,7 +13,6 @@ channels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ContractViolation
@@ -21,7 +21,7 @@ from . import ops
 from .tensor import Tensor
 from .ops import ConvSpec
 from .s6 import S6Params, delta_rank, ss2d
-from .scan import make_order
+from .scan import ScanOrder, make_order
 
 CHANNEL_SCALING = 8
 
@@ -29,19 +29,14 @@ _CONV3 = ConvSpec(kernel=(3, 3))
 _CONV1 = ConvSpec(kernel=(1, 1))
 
 
-@dataclass(frozen=True)
-class ScanSpec:
-    kind: str = "stripe"
-    param: int = 4  # stripe length or window size; ignored for raster
-
-
 @lru_cache(maxsize=256)
 def _cached_order(kind, h, w, param, direction):
     return make_order(kind, h, w, param, direction)
 
 
-def four_orders(scan: ScanSpec, h: int, w: int):
-    return [_cached_order(scan.kind, h, w, scan.param, k) for k in range(4)]
+def four_orders(kind: str, param: int, h: int, w: int):
+    """The four directional orders of one scan on an h x w grid."""
+    return [_cached_order(kind, h, w, param, k) for k in range(4)]
 
 
 class ParamView:
@@ -117,14 +112,13 @@ def vssm_specs(c: int, n: int):
     return specs
 
 
-def vssm_forward(x: Tensor, pv: ParamView, scan: ScanSpec) -> Tensor:
-    """LN -> expand x2 -> depthwise 3x3 -> SiLU -> 4-direction scan ->
-    LN -> SiLU gate from the expand branch -> contract -> residual."""
-    c, h, w = x.shape
-    d_inner = 2 * c
+def vssm_forward(x: Tensor, pv: ParamView, orders: list[ScanOrder]) -> Tensor:
+    """LN -> expand x2 -> depthwise 3x3 -> SiLU -> 4-direction scan along
+    `orders` -> LN -> SiLU gate from the expand branch -> contract ->
+    residual."""
+    d_inner = 2 * x.shape[0]
     t = _conv(_ln(x, pv, "ln_in"), pv, "in_proj", _CONV1)
     a = T.silu(_conv(t, pv, "dw", ConvSpec(kernel=(3, 3), groups=d_inner)))
-    orders = four_orders(scan, h, w)
     params = [_s6_params(pv, "s6", k) for k in range(4)]
     y = ss2d(a, params, orders)
     y = _ln(y, pv, "ln_out")
@@ -170,12 +164,12 @@ def lfse_specs(c: int, n: int):
     return specs
 
 
-def lfse_forward(x: Tensor, pv: ParamView, scan: ScanSpec) -> Tensor:
+def lfse_forward(x: Tensor, pv: ParamView, orders: list[ScanOrder]) -> Tensor:
     """Channel-reduce, then gate a channel-attention branch against a VSSM
     branch (sigmoid each, Hadamard), residual to the reduced feature."""
     xp = _conv(x, pv, "head")
     br_ca = ops.channel_attention(xp, pv["ca.w1"], pv["ca.w2"], pv["ca.b1"], pv["ca.b2"])
-    br_vssm = vssm_forward(xp, pv.sub("vssm"), scan)
+    br_vssm = vssm_forward(xp, pv.sub("vssm"), orders)
     prod = T.mul(T.sigmoid(br_ca), T.sigmoid(br_vssm))
     return _conv(T.add(prod, xp), pv, "tail")
 
@@ -198,12 +192,12 @@ def hfse_specs(c: int, n: int):
     return specs
 
 
-def hfse_forward(x: Tensor, pv: ParamView, scan: ScanSpec) -> Tensor:
+def hfse_forward(x: Tensor, pv: ParamView, orders: list[ScanOrder]) -> Tensor:
     """Global branch (conv -> LN -> VSSM) soft-gated against two dilated
     local branches read off a shared 5x5 depthwise feature."""
     inner = inner_channels(x.shape[0])
     xp = _conv(x, pv, "head")
-    g = vssm_forward(_ln(_conv(xp, pv, "g_conv"), pv, "g_ln"), pv.sub("vssm"), scan)
+    g = vssm_forward(_ln(_conv(xp, pv, "g_conv"), pv, "g_ln"), pv.sub("vssm"), orders)
     local = _conv(xp, pv, "dw5", ConvSpec(kernel=(5, 5), groups=inner))
     x21 = _conv(local, pv, "dil1", ConvSpec(kernel=(3, 3), dilation=1))
     x22 = _conv(local, pv, "dil2", ConvSpec(kernel=(3, 3), dilation=2))
@@ -229,7 +223,7 @@ def hlfd_specs(c: int, n: int):
     return specs
 
 
-def hlfd_forward(y: Tensor, pv: ParamView, scan: ScanSpec) -> Tensor:
+def hlfd_forward(y: Tensor, pv: ParamView, orders: list[ScanOrder]) -> Tensor:
     """Split the reduced feature into a VSSM half and a depthwise-separable
     conv half, concat, fuse with a 3x3 conv, residual, channel-restore."""
     inner = inner_channels(y.shape[0])
@@ -239,7 +233,7 @@ def hlfd_forward(y: Tensor, pv: ParamView, scan: ScanSpec) -> Tensor:
     yp = _conv(y, pv, "head")
     y1 = T.narrow(yp, 0, 0, half)
     y2 = T.narrow(yp, 0, half, half)
-    y1 = vssm_forward(y1, pv.sub("vssm"), scan)
+    y1 = vssm_forward(y1, pv.sub("vssm"), orders)
     y2 = _conv(
         _conv(y2, pv, "ds_dw", ConvSpec(kernel=(3, 3), groups=half)),
         pv, "ds_pw", _CONV1,

@@ -16,7 +16,7 @@ from . import data as hsd
 from . import metrics as qi
 from . import model as mdl
 from .train import TrainConfig, sample_patches, train as run_train, write_loss_csv
-from .scan import make_order
+from .scan import KINDS, make_order
 
 
 def _positive_int(value):
@@ -45,13 +45,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("degrade", help="blur + downsample a cube")
     p.add_argument("--in", dest="inp", required=True, help="input HSC path")
-    p.add_argument("--scale", type=int, choices=(2, 4, 8), required=True,
+    p.add_argument("--scale", type=int, choices=hsd.SCALES, required=True,
                    help="downsampling factor")
     p.add_argument("--out", required=True, help="output HSC path")
 
     p = sub.add_parser("train", help="train on patches cut from a GT cube")
     p.add_argument("--gt", required=True, help="ground-truth HSC path")
-    p.add_argument("--scale", type=int, choices=(2, 4, 8), required=True)
+    p.add_argument("--scale", type=int, choices=hsd.SCALES, required=True)
     p.add_argument("--steps", type=_positive_int, default=200,
                    help="optimizer steps (default: 200)")
     p.add_argument("--ckpt", required=True, help="output checkpoint (HSRW)")
@@ -63,8 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stripe length / window size (default: 4)")
     p.add_argument("--state", type=_positive_int, default=16,
                    help="S6 state dim N (default: 16)")
-    p.add_argument("--scan", choices=("stripe", "raster", "window"),
-                   default="stripe", help="scan order kind (default: stripe)")
+    p.add_argument("--scan", choices=KINDS, default="stripe",
+                   help="scan order kind (default: stripe)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
     p.add_argument("--lr", type=float, default=1e-4,
                    help="learning rate (default: 1e-4)")
@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="quality metrics between two cubes")
     p.add_argument("--pred", required=True, help="predicted HSC path")
     p.add_argument("--gt", required=True, help="reference HSC path")
-    p.add_argument("--scale", type=int, choices=(2, 4, 8), default=4,
+    p.add_argument("--scale", type=int, choices=hsd.SCALES, default=4,
                    help="scale factor for ERGAS (default: 4)")
     p.add_argument("--csv", required=True, help="output CSV (one row)")
     p.add_argument("--sam-map", default=None,
@@ -98,8 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=_positive_int, required=True)
     p.add_argument("--stripe", type=_positive_int, default=4,
                    help="stripe length / window size (default: 4)")
-    p.add_argument("--kind", choices=("stripe", "raster", "window"),
-                   default="stripe", help="scan kind (default: stripe)")
+    p.add_argument("--kind", choices=KINDS, default="stripe",
+                   help="scan kind (default: stripe)")
     p.add_argument("--direction", type=int, choices=(0, 1, 2, 3), default=0,
                    help="directional variant (default: 0)")
     p.add_argument("--out", required=True,
@@ -161,13 +161,14 @@ def _cmd_infer(args) -> int:
 def _cmd_eval(args) -> int:
     pred = hsd.read_hsc(args.pred)
     gt = hsd.read_hsc(args.gt)
-    report = qi.compute_report(pred, gt, scale=args.scale,
+    a, b = qi.check_pair(pred, gt)  # the report and the SAM map share these
+    report = qi.compute_report(a, b, scale=args.scale,
                                peak=gt.value_range[1] - gt.value_range[0])
-    with open(args.csv, "w") as fh:
+    with hsd.atomic_open(args.csv, "w") as fh:
         fh.write(report.csv_row() + "\n")
     if args.sam_map:
-        with open(args.sam_map, "wb") as fh:
-            fh.write(hsd.gray_to_p6(qi.sam_error_map(pred, gt)))
+        with hsd.atomic_open(args.sam_map) as fh:
+            fh.write(hsd.gray_to_p6(qi.sam_error_map(a, b)))
     print(report.csv_row())
     return 0
 
@@ -177,10 +178,10 @@ def _cmd_scan_viz(args) -> int:
                        args.direction)
     grid = order.inv.reshape(args.height, args.width)
     width = len(str(order.size - 1))
-    with open(args.out + ".txt", "w") as fh:
+    with hsd.atomic_open(args.out + ".txt", "w") as fh:
         for row in grid:
             fh.write(" ".join(f"{v:>{width}}" for v in row) + "\n")
-    with open(args.out + ".ppm", "wb") as fh:
+    with hsd.atomic_open(args.out + ".ppm") as fh:
         fh.write(hsd.gray_to_p6(grid.astype(np.float64)))
     return 0
 

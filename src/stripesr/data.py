@@ -4,13 +4,20 @@ The HSC container: magic `HSC1`, u32 bands/height/width, f32 value-range
 (lo, hi), then bands*height*width little-endian f32 values, band-major
 row-major. Roundtrip through write/read is byte-exact for in-range data;
 out-of-range values are clamped (and logged) on ingest, and a non-finite
-value is a FormatError.
+value, or a value range that is non-finite or has lo >= hi, is a
+FormatError.
+
+Every file the package writes goes through `atomic_open`: a regular file is
+written to a temporary file beside it, renamed over it only when the write
+completed.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -22,6 +29,39 @@ log = logging.getLogger(__name__)
 
 HSC_MAGIC = b"HSC1"
 HSC_HEADER = struct.Struct("<4sIIIff")
+SCALES = (2, 4, 8)  # the super-resolution factors supported end to end
+
+
+@contextlib.contextmanager
+def atomic_open(path: str, mode: str = "wb"):
+    """Open `path` for writing. A regular or new file (symlinks followed) is
+    written to a temporary file beside it that replaces it, keeping its mode
+    bits, only if the block exits normally. Devices, FIFOs and stream names
+    such as /dev/stdout or /dev/fd/N are opened in place."""
+    st = os.stat(path) if os.path.exists(path) else None
+    if st is not None and not stat.S_ISREG(st.st_mode) or \
+            os.path.abspath(path).startswith(("/dev/", "/proc/")):
+        with open(path, mode) as fh:
+            yield fh
+        return
+    real = os.path.realpath(path)
+    tmp = f"{real}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode) as fh:
+            if st is not None:
+                os.chmod(tmp, stat.S_IMODE(st.st_mode))
+            yield fh
+        os.replace(tmp, real)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):  # open itself failed
+            os.remove(tmp)
+        raise
+
+
+def _valid_value_range(lo: float, hi: float) -> bool:
+    with np.errstate(over="ignore"):  # stored as f32: beyond its range is inf
+        lo, hi = np.float32(lo), np.float32(hi)
+    return bool(-np.inf < lo < hi < np.inf)
 
 
 @dataclass
@@ -34,7 +74,7 @@ class HsiCube:
         if self.data.ndim != 3 or min(self.data.shape) < 1:
             raise ContractViolation(f"cube must be (C,H,W), got {self.data.shape}")
         lo, hi = self.value_range
-        if not lo < hi:
+        if not _valid_value_range(lo, hi):
             raise ContractViolation(f"invalid value range ({lo}, {hi})")
 
     @property
@@ -53,7 +93,7 @@ class HsiCube:
 def write_hsc(cube: HsiCube, path: str) -> None:
     c, h, w = cube.data.shape
     lo, hi = cube.value_range
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(HSC_MAGIC)
         fh.write(struct.pack("<IIIff", c, h, w, lo, hi))
         fh.write(cube.data.astype("<f4", copy=False).tobytes())
@@ -69,6 +109,8 @@ def read_hsc(path: str) -> HsiCube:
         magic, c, h, w, lo, hi = HSC_HEADER.unpack(header)
         if magic != HSC_MAGIC:
             raise FormatError(f"bad HSC magic {magic!r} at byte 0")
+        if not _valid_value_range(lo, hi):
+            raise FormatError(f"bad HSC value range ({lo}, {hi}) at byte 16")
         expected = 4 * c * h * w
         # check the declared dims against the file size before reading, so
         # absurd dims fail here rather than in an allocation
@@ -103,8 +145,8 @@ def gaussian3_kernel(sigma: float = 0.5) -> np.ndarray:
 def degrade(cube: HsiCube, scale: int) -> HsiCube:
     """Per-band 3x3 Gaussian blur (sigma 0.5, reflect borders), then keep
     samples at offsets 0, s, 2s, ..."""
-    if scale not in (2, 4, 8):
-        raise ContractViolation("scale must be 2, 4 or 8")
+    if scale not in SCALES:
+        raise ContractViolation(f"scale must be one of {SCALES}")
     c, h, w = cube.data.shape
     if h % scale or w % scale:
         raise ContractViolation(f"dims {h}x{w} not divisible by scale {scale}")

@@ -32,7 +32,7 @@ def _as_cube_array(x) -> np.ndarray:
     return arr
 
 
-def _check_pair(x, y):
+def check_pair(x, y):
     a, b = _as_cube_array(x), _as_cube_array(y)
     if a.shape != b.shape:
         raise ContractViolation(f"shape mismatch {a.shape} vs {b.shape}")
@@ -53,7 +53,7 @@ class MetricReport:
 def psnr(x, y, peak: float = 1.0) -> float:
     if peak <= 0:
         raise ContractViolation("peak must be positive")
-    a, b = _check_pair(x, y)
+    a, b = check_pair(x, y)
     mse = ((a - b) ** 2).mean(axis=(1, 2))
     vals = np.where(
         mse > 0,
@@ -78,7 +78,7 @@ def _box_mean(x: np.ndarray) -> np.ndarray:
 
 
 def ssim(x, y, peak: float = 1.0) -> float:
-    a, b = _check_pair(x, y)
+    a, b = check_pair(x, y)
     if a.shape[1] < SSIM_WINDOW or a.shape[2] < SSIM_WINDOW:
         raise ContractViolation(f"ssim needs H, W >= {SSIM_WINDOW}")
     c1 = (0.01 * peak) ** 2
@@ -97,7 +97,7 @@ def ssim(x, y, peak: float = 1.0) -> float:
 
 
 def _sam_angles(x, y):
-    a, b = _check_pair(x, y)
+    a, b = check_pair(x, y)
     dots = np.einsum("chw,chw->hw", a, b)
     sna = np.einsum("chw,chw->hw", a, a)
     snb = np.einsum("chw,chw->hw", b, b)
@@ -125,7 +125,7 @@ def sam(x, y) -> float:
 
 
 def ergas(x_ref, y_est, scale: int) -> float:
-    a, b = _check_pair(x_ref, y_est)
+    a, b = check_pair(x_ref, y_est)
     mu = a.mean(axis=(1, 2))
     zero = np.flatnonzero(mu == 0)
     if zero.size:
@@ -136,7 +136,7 @@ def ergas(x_ref, y_est, scale: int) -> float:
 
 def compute_report(pred, gt, scale: int, peak: float = 1.0) -> MetricReport:
     # cast once; the metrics only read their inputs, so they share the arrays
-    a, b = _check_pair(pred, gt)
+    a, b = check_pair(pred, gt)
     return MetricReport(
         psnr=psnr(a, b, peak),
         ssim=ssim(a, b, peak),

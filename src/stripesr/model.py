@@ -18,7 +18,6 @@ container is the binary HSRW format (byte-exact roundtrip).
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -34,10 +33,11 @@ from . import ops
 from .tensor import Tensor, Tape
 from .ops import ConvSpec
 from . import blocks
-from .blocks import ParamView, ScanSpec
+from .blocks import ParamView
+from .data import SCALES, atomic_open
+from .scan import KINDS
 from .wavelet import dwt_haar, iwt_haar, WaveletPair
 
-SCALES = (2, 4, 8)
 CKPT_MAGIC = b"HSRW"
 CKPT_VERSION = 1
 
@@ -63,12 +63,8 @@ class ModelConfig:
             raise ContractViolation("bands and hidden must be positive")
         if self.levels < 1 or self.stripe < 1 or self.blocks_per_level < 1:
             raise ContractViolation("levels, stripe and blocks_per_level must be >= 1")
-        if self.scan_kind not in ("stripe", "raster", "window"):
+        if self.scan_kind not in KINDS:
             raise ContractViolation(f"unknown scan kind {self.scan_kind!r}")
-
-    @property
-    def scan(self) -> ScanSpec:
-        return ScanSpec(kind=self.scan_kind, param=self.stripe)
 
 
 @dataclass
@@ -158,9 +154,12 @@ def _crop(x: Tensor, dims: tuple[int, int]) -> Tensor:
     return out
 
 
-def _stage(x: Tensor, params, prefix: str, fwd, reps: int, scan: ScanSpec) -> Tensor:
-    for j in range(reps):
-        x = fwd(x, ParamView(params, f"{prefix}.{j}."), scan)
+def _stage(x: Tensor, params, prefix: str, fwd, cfg: ModelConfig) -> Tensor:
+    """`cfg.blocks_per_level` blocks of `fwd`, all scanning along the same
+    four orders, built once for the stage's grid."""
+    orders = blocks.four_orders(cfg.scan_kind, cfg.stripe, *x.shape[1:])
+    for j in range(cfg.blocks_per_level):
+        x = fwd(x, ParamView(params, f"{prefix}.{j}."), orders)
     return x
 
 
@@ -172,12 +171,11 @@ def forward(x_lr: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor
         )
     if not np.all(np.isfinite(x_lr.data)):
         raise NumericError("forward: input contains non-finite values")
-    scan, reps = cfg.scan, cfg.blocks_per_level
 
     x_up = ops.bicubic_resize(x_lr, cfg.scale)
     pv = ParamView(params)
     cur = ops.conv2d(x_up, pv["global.head.w"], pv["global.head.b"], _CONV3)
-    cur = _stage(cur, params, "enc.0.lfse", blocks.lfse_forward, reps, scan)
+    cur = _stage(cur, params, "enc.0.lfse", blocks.lfse_forward, cfg)
 
     highs = []
     for i in range(1, cfg.levels + 1):
@@ -185,14 +183,14 @@ def forward(x_lr: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor
         pair = dwt_haar(cur)
         if pair.high.shape[0] != 3 * pair.low.shape[0]:
             raise ContractViolation("high path must carry 3x the low-path channels")
-        h_out = _stage(pair.high, params, f"enc.{i}.hfse", blocks.hfse_forward, reps, scan)
+        h_out = _stage(pair.high, params, f"enc.{i}.hfse", blocks.hfse_forward, cfg)
         highs.append((h_out, dims))
-        cur = _stage(pair.low, params, f"enc.{i}.lfse", blocks.lfse_forward, reps, scan)
+        cur = _stage(pair.low, params, f"enc.{i}.lfse", blocks.lfse_forward, cfg)
 
     for i in range(cfg.levels, 0, -1):
         h_out, dims = highs[i - 1]
         y = _crop(iwt_haar(WaveletPair(low=cur, high=h_out)), dims)
-        cur = _stage(y, params, f"dec.{i}.hlfd", blocks.hlfd_forward, reps, scan)
+        cur = _stage(y, params, f"dec.{i}.hlfd", blocks.hlfd_forward, cfg)
 
     residual = ops.conv2d(cur, pv["global.tail.w"], pv["global.tail.b"], _CONV3)
     out = T.add(x_up, residual)
@@ -208,10 +206,6 @@ def infer(x_lr, weights: ModelWeights) -> Tensor:
 
 
 # ------------------------------------------------------------- FLOP model
-
-def _conv_flops(c_in, c_out, k, h, w, groups=1) -> int:
-    return 2 * k * k * (c_in // groups) * c_out * h * w
-
 
 # Flops per parameter entry per use, 2 per multiply-add. Conv weights and the
 # scan's projection and skip weights are used once per pixel of their level,
@@ -245,22 +239,20 @@ def estimate_flops(cfg: ModelConfig, h: int, w: int) -> int:
 # ------------------------------------------------------------- checkpoints
 
 def save_checkpoint(weights: ModelWeights, path: str) -> None:
-    buf = io.BytesIO()
-    buf.write(CKPT_MAGIC)
-    buf.write(struct.pack("<I", CKPT_VERSION))
     cfg_bytes = json.dumps(asdict(weights.config), sort_keys=True).encode()
-    buf.write(struct.pack("<I", len(cfg_bytes)))
-    buf.write(cfg_bytes)
-    buf.write(struct.pack("<I", len(weights.params)))
-    for name, arr in weights.params.items():
-        nb = name.encode()
-        buf.write(struct.pack("<I", len(nb)))
-        buf.write(nb)
-        buf.write(struct.pack("<I", arr.ndim))
-        buf.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        buf.write(arr.astype("<f4", copy=False).tobytes())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    with atomic_open(path) as fh:
+        fh.write(CKPT_MAGIC)
+        fh.write(struct.pack("<I", CKPT_VERSION))
+        fh.write(struct.pack("<I", len(cfg_bytes)))
+        fh.write(cfg_bytes)
+        fh.write(struct.pack("<I", len(weights.params)))
+        for name, arr in weights.params.items():
+            nb = name.encode()
+            fh.write(struct.pack("<I", len(nb)))
+            fh.write(nb)
+            fh.write(struct.pack("<I", arr.ndim))
+            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            fh.write(arr.astype("<f4", copy=False).tobytes())
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:

@@ -126,13 +126,8 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
     return T.record(out, (x, gamma, beta), backward)
 
 
-def channel_attention(
-    x: Tensor,
-    w1: Tensor,
-    w2: Tensor,
-    b1: Tensor | None = None,
-    b2: Tensor | None = None,
-) -> Tensor:
+def channel_attention(x: Tensor, w1: Tensor, w2: Tensor, b1: Tensor,
+                      b2: Tensor) -> Tensor:
     """Squeeze-excite: pool -> C/r bottleneck -> ReLU -> C -> sigmoid -> rescale."""
     c = x.shape[0]
     if w1.shape[1] != c or w2.shape[0] != c or w2.shape[1] != w1.shape[0]:
@@ -140,15 +135,9 @@ def channel_attention(
             f"channel_attention: weight shapes {w1.shape}/{w2.shape} do not fit C={c}"
         )
     pooled = T.reshape(T.reduce_mean(x, axes=(1, 2)), (c, 1))
-    hidden = T.matmul(w1, pooled)
-    if b1 is not None:
-        hidden = T.add(hidden, T.reshape(b1, (w1.shape[0], 1)))
-    hidden = T.relu(hidden)
-    gate = T.matmul(w2, hidden)
-    if b2 is not None:
-        gate = T.add(gate, T.reshape(b2, (c, 1)))
-    gate = T.sigmoid(gate)
-    return T.mul(x, T.reshape(gate, (c, 1, 1)))
+    hidden = T.relu(T.add(T.matmul(w1, pooled), T.reshape(b1, (w1.shape[0], 1))))
+    gate = T.add(T.matmul(w2, hidden), T.reshape(b2, (c, 1)))
+    return T.mul(x, T.reshape(T.sigmoid(gate), (c, 1, 1)))
 
 
 def ca_bottleneck(c: int, reduction: int = 4) -> int:
@@ -205,7 +194,7 @@ class OptState:
     v: dict = field(default_factory=dict)
 
 
-def adamw_step(params: dict, grads: dict, state: OptState) -> tuple[dict, OptState]:
+def adamw_step(params: dict, grads: dict, state: OptState) -> None:
     """One decoupled-weight-decay Adam update, in place on `params`."""
     if state.lr <= 0:
         raise ContractViolation("adamw_step: lr must be positive")
@@ -229,7 +218,6 @@ def adamw_step(params: dict, grads: dict, state: OptState) -> tuple[dict, OptSta
         v += (1.0 - state.beta2) * g * g
         update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
         p -= state.lr * (update + state.weight_decay * p)
-    return params, state
 
 
 def l1_loss(pred: Tensor, target: Tensor) -> Tensor:

@@ -152,14 +152,6 @@ def _s6_core(seq: Tensor, params: list[S6Params]) -> Tensor:
     return T.record(y, (seq, *(f for fs in fields for f in fs)), backward)
 
 
-def s6_forward_naive(seq: Tensor, p: S6Params) -> Tensor:
-    """Scan one (d, T) sequence through the batched core; tape-recorded."""
-    if seq.data.ndim != 2:
-        raise ContractViolation("s6_forward_naive expects a (d, T) sequence")
-    out = _s6_core(T.reshape(seq, (1,) + seq.shape), [p])
-    return T.reshape(out, seq.shape)
-
-
 def ss2d(x: Tensor, params: list[S6Params], orders: list[ScanOrder]) -> Tensor:
     """Four-direction scan-and-merge: gather, scan, scatter, sum (fixed order)."""
     if len(params) != len(orders):

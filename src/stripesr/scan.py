@@ -17,7 +17,14 @@ from .errors import ContractViolation
 from . import tensor as T
 from .tensor import Tensor
 
-KINDS = ("raster", "window", "stripe")
+# (th, tw) tile of each kind for stripe length / window size p; a tile dim of
+# h * w spans the whole grid side in either orientation
+_TILES = {
+    "stripe": lambda h, w, p: (h * w, p),
+    "raster": lambda h, w, p: (h * w, h * w),
+    "window": lambda h, w, p: (p, p),
+}
+KINDS = tuple(_TILES)  # the one list of scan kinds, in `--help` order
 
 
 @dataclass(frozen=True)
@@ -26,9 +33,6 @@ class ScanOrder:
     w: int
     perm: np.ndarray  # sequence position -> flat grid index
     inv: np.ndarray  # flat grid index -> sequence position
-    kind: str
-    param: int  # stripe length / window size; 0 for raster
-    direction: int
 
     @property
     def size(self) -> int:
@@ -43,12 +47,16 @@ def _tile_base(h: int, w: int, th: int, tw: int) -> np.ndarray:
     return np.lexsort((cols, rows, cols // tw, rows // th)).astype(np.intp)
 
 
-def _make(kind: str, h: int, w: int, param: int, direction: int,
-          tile: tuple[int, int]) -> ScanOrder:
-    """`tile` is (th, tw) on the grid or its transpose; a tile dim of h * w
-    spans the whole grid side in either orientation."""
+def make_order(kind: str, h: int, w: int, param: int, direction: int = 0) -> ScanOrder:
+    """Order of `kind` on an h x w grid; `param` (>= 1) is the stripe length
+    or window size, and raster ignores it."""
+    if kind not in KINDS:
+        raise ContractViolation(f"unknown scan kind {kind!r}")
     if h < 1 or w < 1:
         raise ContractViolation(f"grid dims must be positive, got {h}x{w}")
+    if param < 1:
+        raise ContractViolation(f"scan param must be >= 1, got {param}")
+    tile = _TILES[kind](h, w, param)
     if direction in (0, 1):
         perm = _tile_base(h, w, *tile)
     elif direction in (2, 3):
@@ -65,33 +73,7 @@ def _make(kind: str, h: int, w: int, param: int, direction: int,
     # orders are cached and shared between callers
     perm.setflags(write=False)
     inv.setflags(write=False)
-    return ScanOrder(h, w, perm, inv, kind, param, direction)
-
-
-def raster_order(h: int, w: int, direction: int = 0) -> ScanOrder:
-    return _make("raster", h, w, 0, direction, (h * w, h * w))
-
-
-def stripe_order(h: int, w: int, length: int, direction: int = 0) -> ScanOrder:
-    if length < 1:
-        raise ContractViolation("stripe length must be >= 1")
-    return _make("stripe", h, w, length, direction, (h * w, length))
-
-
-def window_order(h: int, w: int, win: int, direction: int = 0) -> ScanOrder:
-    if win < 1:
-        raise ContractViolation("window size must be >= 1")
-    return _make("window", h, w, win, direction, (win, win))
-
-
-def make_order(kind: str, h: int, w: int, param: int, direction: int = 0) -> ScanOrder:
-    if kind == "raster":
-        return raster_order(h, w, direction)
-    if kind == "stripe":
-        return stripe_order(h, w, param, direction)
-    if kind == "window":
-        return window_order(h, w, param, direction)
-    raise ContractViolation(f"unknown scan kind {kind!r}")
+    return ScanOrder(h, w, perm, inv)
 
 
 def count_vertical_transitions(order: ScanOrder) -> int:

@@ -195,25 +195,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record_binary(a, b, a.data + b.data, lambda g: g, lambda g: g)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "sub")
-    return _record_binary(a, b, a.data - b.data, lambda g: g, lambda g: -g)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "mul")
     return _record_binary(
         a, b, a.data * b.data, lambda g: g * b.data, lambda g: g * a.data
-    )
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "div")
-    if np.any(b.data == 0):
-        raise NumericError("div: divisor contains zero elements")
-    out = a.data / b.data
-    return _record_binary(
-        a, b, out, lambda g: g / b.data, lambda g: -g * out / b.data
     )
 
 
@@ -226,11 +211,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _record_unary(a, a.data * c, lambda g: g * c)
 
 
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return _record_unary(a, out, lambda g: g * out)
-
-
 def sigmoid(a: Tensor) -> Tensor:
     out = logistic(a.data)
     return _record_unary(a, out, lambda g: g * out * (1.0 - out))
@@ -240,12 +220,6 @@ def silu(a: Tensor) -> Tensor:
     s = logistic(a.data)
     out = a.data * s
     return _record_unary(a, out, lambda g: g * (s + out * (1.0 - s)))
-
-
-def softplus(a: Tensor) -> Tensor:
-    out = np.logaddexp(0.0, a.data)
-    s = logistic(a.data)
-    return _record_unary(a, out, lambda g: g * s)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -275,17 +249,6 @@ def _normalize_axes(axes, ndim):
     if len(set(axes)) != len(axes) or any(ax >= ndim or ax < 0 for ax in axes):
         raise ContractViolation(f"invalid reduction axes {axes} for ndim {ndim}")
     return axes
-
-
-def reduce_sum(a: Tensor, axes=None) -> Tensor:
-    axes = _normalize_axes(axes, a.data.ndim)
-    out = a.data.sum(axis=axes)
-
-    def dfn(g):
-        ge = np.expand_dims(g, axes) if axes else g
-        return np.broadcast_to(ge, a.shape).astype(a.dtype, copy=False)
-
-    return _record_unary(a, out, dfn)
 
 
 def reduce_mean(a: Tensor, axes=None) -> Tensor:

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import ContractViolation, NumericError
 from . import ops
 from .tensor import Tape, Tensor, add, scale
+from .data import atomic_open
 from .model import ModelConfig, ModelWeights, forward, init_weights
 
 
@@ -127,7 +128,7 @@ def train(dataset, cfg: TrainConfig, mcfg: ModelConfig,
 
 
 def write_loss_csv(curve, path: str) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path, "w") as fh:
         fh.write("step,loss\n")
         for i, v in enumerate(curve):
             fh.write(f"{i},{v}\n")

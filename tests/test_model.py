@@ -1,8 +1,11 @@
 """Model assembly: init, forward, params/FLOPs accounting, checkpoints."""
 
+import builtins
+import errno
 import json
+import os
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -14,7 +17,6 @@ from stripesr.errors import ContractViolation, FormatError
 from stripesr.model import (
     ModelConfig,
     ModelWeights,
-    _conv_flops,
     count_params,
     estimate_flops,
     forward,
@@ -170,16 +172,12 @@ class TestForward:
         def f(t):
             params = {k: (t if k == key else Tensor(v, dtype=np.float64))
                       for k, v in raw.items()}
-            return T.reduce_sum(T.sigmoid(forward(x, params, cfg)))
+            return T.reduce_mean(T.sigmoid(forward(x, params, cfg)))
 
         assert T.grad_check(f, raw[key].copy(), eps=1e-4) < 2e-3
 
 
 class TestFlops:
-    def test_conv_flop_convention_on_4x4(self):
-        # one 3x3 conv, 1 channel in/out, 4x4 map: 2 * 9 * 16 = 288
-        assert _conv_flops(1, 1, 3, 4, 4) == 288
-
     def test_estimate_positive_and_monotone_in_area(self):
         small = estimate_flops(MICRO, 8, 8)
         large = estimate_flops(MICRO, 16, 16)
@@ -220,7 +218,46 @@ class TestFlops:
         assert sum(counted) == estimate_flops(cfg, 5, 7)
 
 
+class _DiskFull:
+    """A writable file that raises ENOSPC once `room` bytes are written."""
+
+    def __init__(self, fh, room):
+        self.fh, self.room = fh, room
+
+    def write(self, b):
+        if len(b) > self.room:
+            self.fh.write(b[: self.room])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.room -= len(b)
+        return self.fh.write(b)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
 class TestCheckpoint:
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path,
+                                                   monkeypatch):
+        # the disk fills halfway through overwriting a saved checkpoint
+        path = tmp_path / "m.hsrw"
+        save_checkpoint(init_weights(MICRO), str(path))
+        before = path.read_bytes()
+        real_open = builtins.open
+
+        def full_disk_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return _DiskFull(fh, len(before) // 2) if "w" in mode else fh
+
+        monkeypatch.setattr(builtins, "open", full_disk_open)
+        with pytest.raises(OSError):
+            save_checkpoint(init_weights(replace(MICRO, seed=1)), str(path))
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["m.hsrw"]  # no temp file left
+
     def test_roundtrip_bit_exact(self, tmp_path):
         w = init_weights(MICRO)
         path = str(tmp_path / "m.hsrw")

@@ -79,7 +79,7 @@ class TestConv2d:
         spec = ConvSpec(kernel=(3, 3))
 
         def loss_of(xa, wa, ba):
-            return T.reduce_sum(T.sigmoid(ops.conv2d(xa, wa, ba, spec)))
+            return T.reduce_mean(T.sigmoid(ops.conv2d(xa, wa, ba, spec)))
 
         assert T.grad_check(
             lambda t: loss_of(t, _t64(w), _t64(b)), x) < 1e-6
@@ -94,10 +94,10 @@ class TestConv2d:
         w = g.normal(size=(3, 1, 3, 3))
         spec = ConvSpec(kernel=(3, 3), dilation=2, groups=3)
         assert T.grad_check(
-            lambda t: T.reduce_sum(T.sigmoid(ops.conv2d(t, _t64(w), None, spec))),
+            lambda t: T.reduce_mean(T.sigmoid(ops.conv2d(t, _t64(w), None, spec))),
             x) < 1e-6
         assert T.grad_check(
-            lambda t: T.reduce_sum(T.sigmoid(ops.conv2d(_t64(x), t, None, spec))),
+            lambda t: T.reduce_mean(T.sigmoid(ops.conv2d(_t64(x), t, None, spec))),
             w) < 1e-6
 
     def test_group_mismatch_rejected(self):
@@ -137,13 +137,13 @@ class TestLayerNorm:
         gamma = g.normal(size=6)
         beta = g.normal(size=6)
         assert T.grad_check(
-            lambda t: T.reduce_sum(T.sigmoid(
+            lambda t: T.reduce_mean(T.sigmoid(
                 ops.layernorm(t, _t64(gamma), _t64(beta)))), x, eps=1e-4) < 1e-5
         assert T.grad_check(
-            lambda t: T.reduce_sum(T.sigmoid(
+            lambda t: T.reduce_mean(T.sigmoid(
                 ops.layernorm(_t64(x), t, _t64(beta)))), gamma) < 1e-6
         assert T.grad_check(
-            lambda t: T.reduce_sum(T.sigmoid(
+            lambda t: T.reduce_mean(T.sigmoid(
                 ops.layernorm(_t64(x), _t64(gamma), t))), beta) < 1e-6
 
 
@@ -152,9 +152,10 @@ class TestChannelAttention:
         # x with channel c constant at v_c pools to exactly v_c
         v = np.array([0.3, -1.2, 2.0, 0.0])
         x = np.broadcast_to(v[:, None, None], (4, 5, 5)).copy()
-        w1 = np.zeros((1, 4))
-        w2 = np.zeros((4, 1))
-        got = ops.channel_attention(_t64(x), _t64(w1), _t64(w2)).data
+        w1, b1 = np.zeros((1, 4)), np.zeros(1)
+        w2, b2 = np.zeros((4, 1)), np.zeros(4)
+        got = ops.channel_attention(_t64(x), _t64(w1), _t64(w2), _t64(b1),
+                                    _t64(b2)).data
         # zero weights: sigmoid(0) = 0.5 gate on every channel
         np.testing.assert_allclose(got, 0.5 * x, rtol=1e-12)
 
@@ -179,12 +180,13 @@ class TestChannelAttention:
         x = g.normal(size=(4, 3, 3))
         w1 = g.normal(size=(2, 4))
         w2 = g.normal(size=(4, 2))
+        b1, b2 = _t64(np.zeros(2)), _t64(np.zeros(4))
         assert T.grad_check(
-            lambda t: T.reduce_sum(T.sigmoid(
-                ops.channel_attention(t, _t64(w1), _t64(w2)))), x) < 1e-6
+            lambda t: T.reduce_mean(T.sigmoid(
+                ops.channel_attention(t, _t64(w1), _t64(w2), b1, b2))), x) < 1e-6
         assert T.grad_check(
-            lambda t: T.reduce_sum(T.sigmoid(
-                ops.channel_attention(_t64(x), t, _t64(w2)))), w1) < 1e-6
+            lambda t: T.reduce_mean(T.sigmoid(
+                ops.channel_attention(_t64(x), t, _t64(w2), b1, b2))), w1) < 1e-6
 
     def test_bottleneck_width(self):
         assert ops.ca_bottleneck(16) == 4

@@ -6,14 +6,8 @@ import pytest
 from conftest import rel_err, rng, s6_oracle
 from stripesr import tensor as T
 from stripesr.errors import ContractViolation
-from stripesr.s6 import (
-    S6Params,
-    _s6_core,
-    delta_rank,
-    s6_forward_naive,
-    ss2d,
-)
-from stripesr.scan import gather_tokens, scatter_tokens, stripe_order
+from stripesr.s6 import S6Params, _s6_core, delta_rank, ss2d
+from stripesr.scan import gather_tokens, make_order, scatter_tokens
 from stripesr.tensor import Tape, Tensor
 
 
@@ -46,41 +40,43 @@ class TestDeltaRank:
 
 
 class TestNaiveForward:
+    """One (1, d, T) sequence through `_s6_core`."""
+
     def test_hand_unrolled_three_steps(self):
         p, raw = make_params(7, 1, 1)
-        x = np.array([[0.3, -0.5, 0.9]])
-        got = s6_forward_naive(Tensor(x, dtype=np.float64), p).data
-        want = s6_oracle(x, **raw)
+        x = np.array([[[0.3, -0.5, 0.9]]])
+        got = _s6_core(Tensor(x, dtype=np.float64), [p]).data[0]
+        want = s6_oracle(x[0], **raw)
         assert rel_err(got, want) < 1e-6
 
     def test_matches_loop_oracle_larger(self):
         p, raw = make_params(3, 4, 8)
-        x = rng(4).normal(size=(4, 32))
-        got = s6_forward_naive(Tensor(x, dtype=np.float64), p).data
-        assert rel_err(got, s6_oracle(x, **raw)) < 1e-6
+        x = rng(4).normal(size=(1, 4, 32))
+        got = _s6_core(Tensor(x, dtype=np.float64), [p]).data[0]
+        assert rel_err(got, s6_oracle(x[0], **raw)) < 1e-6
 
     def test_zero_input_zero_output(self):
         p, _ = make_params(5, 3, 4)
-        out = s6_forward_naive(Tensor(np.zeros((3, 6))), p).data
+        out = _s6_core(Tensor(np.zeros((1, 3, 6))), [p]).data
         assert np.abs(out).max() == 0.0
 
     def test_causality(self):
         # perturbing token t must not change outputs before t
         p, _ = make_params(6, 2, 4)
-        x = rng(7).normal(size=(2, 16))
-        y0 = s6_forward_naive(Tensor(x, dtype=np.float64), p).data
+        x = rng(7).normal(size=(1, 2, 16))
+        y0 = _s6_core(Tensor(x, dtype=np.float64), [p]).data
         xp = x.copy()
-        xp[:, 9] += 1.0
-        y1 = s6_forward_naive(Tensor(xp, dtype=np.float64), p).data
-        np.testing.assert_array_equal(y1[:, :9], y0[:, :9])
-        assert np.abs(y1[:, 9:] - y0[:, 9:]).max() > 0
+        xp[..., 9] += 1.0
+        y1 = _s6_core(Tensor(xp, dtype=np.float64), [p]).data
+        np.testing.assert_array_equal(y1[..., :9], y0[..., :9])
+        assert np.abs(y1[..., 9:] - y0[..., 9:]).max() > 0
 
     def test_stability_long_constant_input(self):
         # A = -exp(a_log) < 0 keeps the state decay factor in (0, 1), so a
         # long constant input cannot blow up
         p, _ = make_params(8, 2, 4)
-        x = np.ones((2, 4096))
-        out = s6_forward_naive(Tensor(x, dtype=np.float64), p).data
+        x = np.ones((1, 2, 4096))
+        out = _s6_core(Tensor(x, dtype=np.float64), [p]).data[0]
         assert np.isfinite(out).all()
         assert np.abs(out[:, -1] - out[:, -2]).max() < 1e-6  # converged
 
@@ -90,7 +86,7 @@ class TestNaiveForward:
             a_log=p.a_log, d_skip=Tensor(np.ones(3)), w_b=p.w_b, w_c=p.w_c,
             w_dt_down=p.w_dt_down, w_dt_up=p.w_dt_up, b_dt=p.b_dt)
         with pytest.raises(ContractViolation):
-            s6_forward_naive(Tensor(np.zeros((2, 4))), bad)
+            _s6_core(Tensor(np.zeros((1, 2, 4))), [bad])
 
 
 class TestCore:
@@ -112,20 +108,19 @@ class TestGradients:
     @staticmethod
     def _input_err(t):
         p, _ = make_params(15, 2, 3)
-        x = rng(16).normal(size=(2, t))
+        x = rng(16).normal(size=(1, 2, t))
         return T.grad_check(
-            lambda s: T.reduce_sum(T.sigmoid(s6_forward_naive(s, p))), x)
+            lambda s: T.reduce_mean(T.sigmoid(_s6_core(s, [p]))), x)
 
     @staticmethod
     def _param_err(key, t):
         _, raw = make_params(17, 2, 3)
-        x = rng(18).normal(size=(2, t))
+        x = Tensor(rng(18).normal(size=(1, 2, t)), dtype=np.float64)
 
         def f(s):
             kw = {k: (s if k == key else Tensor(v, dtype=np.float64))
                   for k, v in raw.items()}
-            return T.reduce_sum(T.sigmoid(
-                s6_forward_naive(Tensor(x, dtype=np.float64), S6Params(**kw))))
+            return T.reduce_mean(T.sigmoid(_s6_core(x, [S6Params(**kw)])))
 
         return T.grad_check(f, raw[key].copy())
 
@@ -151,7 +146,7 @@ class TestGradients:
         x = Tensor(rng(41).normal(size=(3, 2, 5)), dtype=np.float64)
         for k in range(3):
             def f(s):
-                return T.reduce_sum(T.sigmoid(_s6_core(x, [
+                return T.reduce_mean(T.sigmoid(_s6_core(x, [
                     S6Params(**{name: (s if (j, name) == (k, key)
                                        else Tensor(v, dtype=np.float64))
                                 for name, v in raw.items()})
@@ -162,7 +157,7 @@ class TestGradients:
 
 class TestSs2d:
     def _orders(self, h, w):
-        return [stripe_order(h, w, 2, d) for d in range(4)]
+        return [make_order("stripe", h, w, 2, d) for d in range(4)]
 
     def test_skip_only_sums_four_directions(self):
         d = 3
@@ -191,9 +186,9 @@ class TestSs2d:
         for which in range(4):
             params = [live if k == which else dead for k in range(4)]
             got = ss2d(x, params, orders).data
-            seq = gather_tokens(x, orders[which])
-            want = scatter_tokens(s6_forward_naive(seq, live),
-                                  orders[which]).data
+            seq = T.reshape(gather_tokens(x, orders[which]), (1, d, 24))
+            ys = T.reshape(_s6_core(seq, [live]), (d, 24))
+            want = scatter_tokens(ys, orders[which]).data
             assert rel_err(got, want) < 1e-6, which
 
     def test_gradient_through_all_directions(self):
@@ -208,7 +203,7 @@ class TestSs2d:
                             for k, v in raw.items()})
                 for raw in raws
             ]
-            return T.reduce_sum(T.sigmoid(ss2d(t, params, orders)))
+            return T.reduce_mean(T.sigmoid(ss2d(t, params, orders)))
 
         assert T.grad_check(f, x) < 2e-3
 
@@ -223,7 +218,7 @@ class TestSs2d:
         def f(t):
             kw = {k: (t if k == "a_log" else Tensor(v, dtype=np.float64))
                   for k, v in raw.items()}
-            return T.reduce_sum(T.sigmoid(ss2d(x, [S6Params(**kw)] * 4, orders)))
+            return T.reduce_mean(T.sigmoid(ss2d(x, [S6Params(**kw)] * 4, orders)))
 
         assert T.grad_check(f, raw["a_log"].copy()) < 2e-3
 

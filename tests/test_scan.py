@@ -13,38 +13,37 @@ from stripesr.scan import (
     count_vertical_transitions,
     gather_tokens,
     make_order,
-    raster_order,
     scatter_tokens,
-    stripe_order,
-    window_order,
 )
 from stripesr.tensor import Tensor
 
 
 class TestKnownPermutations:
     def test_raster_dir0_is_identity(self):
-        np.testing.assert_array_equal(raster_order(3, 4, 0).perm, np.arange(12))
+        np.testing.assert_array_equal(
+            make_order("raster", 3, 4, 1, 0).perm, np.arange(12))
 
     def test_raster_dir1_is_reversal(self):
         np.testing.assert_array_equal(
-            raster_order(2, 3, 1).perm, np.arange(6)[::-1])
+            make_order("raster", 2, 3, 1, 1).perm, np.arange(6)[::-1])
 
     def test_raster_dir2_2x2_hand_enumeration(self):
         # column-major on a 2x2 grid: (0,0),(1,0),(0,1),(1,1)
-        np.testing.assert_array_equal(raster_order(2, 2, 2).perm, [0, 2, 1, 3])
+        np.testing.assert_array_equal(
+            make_order("raster", 2, 2, 1, 2).perm, [0, 2, 1, 3])
 
     def test_stripe_2x4_len2_dir0(self):
         # two stripes of width 2, row-major inside each
         np.testing.assert_array_equal(
-            stripe_order(2, 4, 2, 0).perm, [0, 1, 4, 5, 2, 3, 6, 7])
+            make_order("stripe", 2, 4, 2, 0).perm, [0, 1, 4, 5, 2, 3, 6, 7])
 
     def test_window_4x4_win2_dir0(self):
         np.testing.assert_array_equal(
-            window_order(4, 4, 2, 0).perm,
+            make_order("window", 4, 4, 2, 0).perm,
             [0, 1, 4, 5, 2, 3, 6, 7, 8, 9, 12, 13, 10, 11, 14, 15])
 
     def test_stripe_len1_is_column_major(self):
-        got = stripe_order(3, 2, 1, 0).perm
+        got = make_order("stripe", 3, 2, 1, 0).perm
         np.testing.assert_array_equal(got, [0, 2, 4, 1, 3, 5])
 
 
@@ -68,8 +67,8 @@ class TestBijectionExhaustive:
             for direction in range(4):
                 full = w if direction in (0, 1) else h
                 np.testing.assert_array_equal(
-                    stripe_order(h, w, full, direction).perm,
-                    raster_order(h, w, direction).perm)
+                    make_order("stripe", h, w, full, direction).perm,
+                    make_order("raster", h, w, 1, direction).perm)
 
     def test_direction1_reverses_direction0(self):
         for kind in ("raster", "stripe", "window"):
@@ -81,10 +80,11 @@ class TestBijectionExhaustive:
 class TestVerticalTransitions:
     def test_raster_dir0_has_none(self):
         for h, w in ((2, 3), (4, 6), (8, 8)):
-            assert count_vertical_transitions(raster_order(h, w, 0)) == 0
+            o = make_order("raster", h, w, 1, 0)
+            assert count_vertical_transitions(o) == 0
 
     def test_stripe_len1_all_vertical_within_stripes(self):
-        o = stripe_order(4, 3, 1, 0)
+        o = make_order("stripe", 4, 3, 1, 0)
         # each width-1 stripe walks straight down: 3 transitions per stripe
         assert count_vertical_transitions(o) == 9
 
@@ -95,13 +95,14 @@ class TestVerticalTransitions:
             for w in range(2, 9):
                 for length in range(1, w):
                     counts = [
-                        count_vertical_transitions(stripe_order(h, w, length, d))
+                        count_vertical_transitions(
+                            make_order("stripe", h, w, length, d))
                         for d in range(4)
                     ]
                     assert sum(counts) >= 1, (h, w, length, counts)
 
     def test_transposed_raster_is_all_vertical(self):
-        o = raster_order(3, 2, 2)
+        o = make_order("raster", 3, 2, 1, 2)
         # column-major: every within-column step is a vertical neighbor
         assert count_vertical_transitions(o) == 4
 
@@ -109,11 +110,11 @@ class TestVerticalTransitions:
 class TestValidation:
     def test_zero_dims_rejected(self):
         with pytest.raises(ContractViolation):
-            raster_order(0, 4)
+            make_order("raster", 0, 4, 1)
 
     def test_bad_direction(self):
         with pytest.raises(ContractViolation):
-            raster_order(2, 2, 5)
+            make_order("raster", 2, 2, 1, 5)
 
     def test_bad_kind(self):
         with pytest.raises(ContractViolation):
@@ -121,7 +122,7 @@ class TestValidation:
 
     def test_nonpositive_param(self):
         with pytest.raises(ContractViolation):
-            stripe_order(4, 4, 0)
+            make_order("stripe", 4, 4, 0)
 
     @pytest.mark.parametrize("kind", ["raster", "window", "stripe"])
     def test_perm_and_inv_are_read_only(self, kind):
@@ -136,33 +137,34 @@ class TestValidation:
 
 class TestGatherScatter:
     def test_roundtrip_identity(self):
-        o = stripe_order(4, 6, 2, 0)
+        o = make_order("stripe", 4, 6, 2, 0)
         x = Tensor(rng(0).normal(size=(3, 4, 6)), dtype=np.float64)
         back = scatter_tokens(gather_tokens(x, o), o)
         np.testing.assert_array_equal(back.data, x.data)
 
     def test_gather_layout(self):
-        o = stripe_order(2, 4, 2, 0)
+        o = make_order("stripe", 2, 4, 2, 0)
         x = np.arange(8.0).reshape(1, 2, 4)
         seq = gather_tokens(Tensor(x, dtype=np.float64), o).data
         np.testing.assert_array_equal(seq[0], [0, 1, 4, 5, 2, 3, 6, 7])
 
     def test_gather_grad_is_all_ones(self):
-        o = window_order(4, 4, 2, 0)
+        o = make_order("window", 4, 4, 2, 0)
         tape = T.Tape()
         x = tape.leaf(rng(1).normal(size=(2, 4, 4)))
-        tape.backward(T.reduce_sum(gather_tokens(x, o)))
-        np.testing.assert_array_equal(tape.grad(x), np.ones((2, 4, 4)))
+        tape.backward(T.reduce_mean(gather_tokens(x, o)))
+        # every entry gets the mean's gradient, 1/32, back unchanged
+        np.testing.assert_array_equal(tape.grad(x), np.full((2, 4, 4), 1 / 32))
 
     def test_scatter_grad_check(self):
-        o = stripe_order(3, 4, 2, 1)
+        o = make_order("stripe", 3, 4, 2, 1)
         x = rng(2).normal(size=(2, 12))
         err = T.grad_check(
-            lambda t: T.reduce_sum(T.sigmoid(scatter_tokens(t, o))), x)
+            lambda t: T.reduce_mean(T.sigmoid(scatter_tokens(t, o))), x)
         assert err < 1e-6
 
     def test_shape_mismatch_rejected(self):
-        o = raster_order(3, 3)
+        o = make_order("raster", 3, 3, 1)
         with pytest.raises(ContractViolation):
             gather_tokens(Tensor(np.ones((2, 4, 4))), o)
         with pytest.raises(ContractViolation):

@@ -1,7 +1,5 @@
 """Tape, elementwise ops, matmul, reductions and shape ops."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,21 +33,21 @@ class TestTapeBackward:
     def test_leaf_grad_identity(self):
         tape = Tape()
         x = tape.leaf(np.array([1.0, 2.0, 3.0]))
-        tape.backward(T.reduce_sum(x))
-        np.testing.assert_array_equal(tape.grad(x), np.ones(3))
+        tape.backward(T.reduce_mean(x))
+        np.testing.assert_array_equal(tape.grad(x), np.full(3, 1 / 3))
 
     def test_chain_rule_two_ops(self):
-        # d/dx sum((2x)^2) = 8x
+        # d/dx mean((2x)^2) over 2 entries = 8x / 2
         tape = Tape()
         x = tape.leaf(np.array([1.0, -2.0], dtype=np.float64))
         y = T.scale(x, 2.0)
-        tape.backward(T.reduce_sum(T.mul(y, y)))
-        np.testing.assert_allclose(tape.grad(x), 8.0 * x.data)
+        tape.backward(T.reduce_mean(T.mul(y, y)))
+        np.testing.assert_allclose(tape.grad(x), 4.0 * x.data)
 
     def test_grad_accumulates_over_fanout(self):
         tape = Tape()
         x = tape.leaf(np.array([3.0]))
-        tape.backward(T.reduce_sum(T.add(x, x)))
+        tape.backward(T.reduce_mean(T.add(x, x)))
         np.testing.assert_array_equal(tape.grad(x), [2.0])
 
     def test_backward_requires_scalar(self):
@@ -62,17 +60,17 @@ class TestTapeBackward:
         # backward frees the tape's closures, so it runs once per tape
         tape = Tape()
         x = tape.leaf(np.array([1.0, 2.0]))
-        loss = T.reduce_sum(T.mul(x, x))
+        loss = T.reduce_mean(T.mul(x, x))
         tape.backward(loss)
         with pytest.raises(ContractViolation):
             tape.backward(loss)
-        np.testing.assert_array_equal(tape.grad(x), [2.0, 4.0])
+        np.testing.assert_array_equal(tape.grad(x), [1.0, 2.0])
 
     def test_grad_of_unused_leaf_is_zero(self):
         tape = Tape()
         x = tape.leaf(np.ones(3))
         y = tape.leaf(np.ones(2))
-        tape.backward(T.reduce_sum(x))
+        tape.backward(T.reduce_mean(x))
         np.testing.assert_array_equal(tape.grad(y), np.zeros(2))
 
     def test_none_and_off_tape_inputs_get_no_parent(self):
@@ -84,7 +82,7 @@ class TestTapeBackward:
         def weight_grad(tape, xt):
             wt = tape.leaf(w)
             out = ops.conv2d(xt, wt, None, ConvSpec())
-            tape.backward(T.reduce_sum(T.sigmoid(out)))
+            tape.backward(T.reduce_mean(T.sigmoid(out)))
             return tape.nodes[out.node_id].parent_ids, wt.node_id, tape.grad(wt)
 
         tape = Tape()
@@ -110,25 +108,10 @@ class TestElementwise:
         b = tape.leaf(rng(1).normal(size=(4,)))
         out = T.add(a, b)
         np.testing.assert_allclose(out.data, a.data + b.data)
-        tape.backward(T.reduce_sum(out))
-        np.testing.assert_array_equal(tape.grad(a), np.ones((3, 4)))
+        tape.backward(T.reduce_mean(out))
+        np.testing.assert_array_equal(tape.grad(a), np.full((3, 4), 1 / 12))
         # broadcast grad folds back onto the smaller operand
-        np.testing.assert_array_equal(tape.grad(b), np.full(4, 3.0))
-
-    def test_div_value(self):
-        a = Tensor([6.0, 9.0])
-        b = Tensor([2.0, 3.0])
-        np.testing.assert_allclose(T.div(a, b).data, [3.0, 3.0])
-
-    def test_softplus_zero_is_ln2(self):
-        assert abs(T.softplus(Tensor([0.0], dtype=np.float64)).data[0]
-                   - math.log(2.0)) < 1e-12
-
-    def test_softplus_stable_at_large_args(self):
-        out = T.softplus(Tensor([800.0, -800.0], dtype=np.float64)).data
-        assert out[0] == pytest.approx(800.0)
-        assert out[1] == pytest.approx(0.0, abs=1e-300)
-        assert np.isfinite(out).all()
+        np.testing.assert_allclose(tape.grad(b), np.full(4, 3 / 12), rtol=1e-15)
 
     def test_sigmoid_stable_at_large_args(self):
         out = T.sigmoid(Tensor([800.0, -800.0], dtype=np.float64)).data
@@ -144,20 +127,20 @@ class TestElementwise:
         got = T.relu(Tensor([-1.0, 0.0, 2.0])).data
         np.testing.assert_array_equal(got, [0.0, 0.0, 2.0])
 
-    @pytest.mark.parametrize("op", [T.exp, T.sigmoid, T.silu, T.softplus],
+    @pytest.mark.parametrize("op", [T.sigmoid, T.silu],
                              ids=lambda op: op.__name__)
     def test_unary_grad_check(self, op):
         x = rng(3).normal(size=(2, 5))
-        err = T.grad_check(lambda t: T.reduce_sum(op(t)), x)
+        err = T.grad_check(lambda t: T.reduce_mean(op(t)), x)
         assert err < 1e-6
 
-    @pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div],
+    @pytest.mark.parametrize("op", [T.add, T.mul],
                              ids=lambda op: op.__name__)
     def test_binary_grad_check(self, op):
-        other = rng(4).normal(size=(3, 4)) + 2.0  # keep away from 0 for div
+        other = rng(4).normal(size=(3, 4)) + 2.0
         x = rng(5).normal(size=(3, 4))
         err = T.grad_check(
-            lambda t: T.reduce_sum(
+            lambda t: T.reduce_mean(
                 T.sigmoid(op(t, Tensor(other, dtype=np.float64)))),
             x)
         assert err < 1e-6
@@ -174,10 +157,10 @@ class TestMatmul:
         a = rng(8).normal(size=(3, 4))
         b = rng(9).normal(size=(4, 2))
         err_a = T.grad_check(
-            lambda t: T.reduce_sum(T.sigmoid(
+            lambda t: T.reduce_mean(T.sigmoid(
                 T.matmul(t, Tensor(b, dtype=np.float64)))), a)
         err_b = T.grad_check(
-            lambda t: T.reduce_sum(T.sigmoid(
+            lambda t: T.reduce_mean(T.sigmoid(
                 T.matmul(Tensor(a, dtype=np.float64), t))), b)
         assert err_a < 1e-6 and err_b < 1e-6
 
@@ -187,24 +170,24 @@ class TestMatmul:
 
 
 class TestReductions:
-    def test_sum_axis0_hand_enumeration(self):
+    def test_mean_axis0_hand_enumeration(self):
         x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        np.testing.assert_array_equal(T.reduce_sum(x, axes=0).data, [4.0, 6.0])
+        np.testing.assert_array_equal(T.reduce_mean(x, axes=0).data, [2.0, 3.0])
 
     def test_mean_all(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
         assert T.reduce_mean(x).item() == 2.5
 
-    def test_sum_grad_broadcasts_back(self):
+    def test_mean_grad_broadcasts_back(self):
         x = rng(10).normal(size=(2, 3, 4))
         err = T.grad_check(
-            lambda t: T.reduce_sum(T.sigmoid(T.reduce_sum(t, axes=(0, 2)))), x)
+            lambda t: T.reduce_mean(T.sigmoid(T.reduce_mean(t, axes=(0, 2)))), x)
         assert err < 1e-6
 
     def test_mean_grad(self):
         x = rng(11).normal(size=(3, 5))
         err = T.grad_check(
-            lambda t: T.reduce_sum(T.sigmoid(T.reduce_mean(t, axes=1))), x)
+            lambda t: T.reduce_mean(T.sigmoid(T.reduce_mean(t, axes=1))), x)
         assert err < 1e-6
 
 
@@ -212,7 +195,7 @@ class TestShapeOps:
     def test_reshape_roundtrip_grad(self):
         x = rng(12).normal(size=(2, 6))
         err = T.grad_check(
-            lambda t: T.reduce_sum(T.sigmoid(T.reshape(t, (3, 4)))), x)
+            lambda t: T.reduce_mean(T.sigmoid(T.reshape(t, (3, 4)))), x)
         assert err < 1e-6
 
     def test_concat_values_and_grad(self):
@@ -222,7 +205,7 @@ class TestShapeOps:
                         Tensor(b, dtype=np.float64)], axis=0)
         np.testing.assert_array_equal(got.data, np.concatenate([a, b], axis=0))
         err = T.grad_check(
-            lambda t: T.reduce_sum(T.sigmoid(
+            lambda t: T.reduce_mean(T.sigmoid(
                 T.concat([t, Tensor(b, dtype=np.float64)], axis=0))), a)
         assert err < 1e-6
 
@@ -231,7 +214,7 @@ class TestShapeOps:
         got = T.narrow(Tensor(x, dtype=np.float64), 0, 2, 3)
         np.testing.assert_array_equal(got.data, x[2:5])
         err = T.grad_check(
-            lambda t: T.reduce_sum(T.sigmoid(T.narrow(t, 1, 1, 2))), x)
+            lambda t: T.reduce_mean(T.sigmoid(T.narrow(t, 1, 1, 2))), x)
         assert err < 1e-6
 
     def test_narrow_out_of_bounds(self):
@@ -245,7 +228,7 @@ class TestShapeOps:
                        Tensor(b, dtype=np.float64)], axis=0)
         np.testing.assert_array_equal(got.data, np.stack([a, b], axis=0))
         err = T.grad_check(
-            lambda t: T.reduce_sum(T.sigmoid(
+            lambda t: T.reduce_mean(T.sigmoid(
                 T.stack([t, Tensor(b, dtype=np.float64)], axis=0))), a)
         assert err < 1e-6
 
@@ -253,7 +236,7 @@ class TestShapeOps:
 class TestGradCheckHarness:
     def test_sigmoid_sum_tight(self):
         x = rng(18).normal(size=(4, 4))
-        assert T.grad_check(lambda t: T.reduce_sum(T.sigmoid(t)), x) < 1e-6
+        assert T.grad_check(lambda t: T.reduce_mean(T.sigmoid(t)), x) < 1e-6
 
     def test_flags_a_wrong_gradient(self):
         # an op with a deliberately broken backward must fail the check
@@ -261,31 +244,27 @@ class TestGradCheckHarness:
             def dfn(g):
                 return 0.5 * g  # wrong: claims d/dx x = 0.5
             out = T._record_unary(t, t.data.copy(), dfn)
-            return T.reduce_sum(out)
+            return T.reduce_mean(out)
         assert T.grad_check(bad, rng(19).normal(size=(3,))) > 1e-2
 
 
 class TestDebugNanChecks:
-    def test_div_by_zero_always_raises(self):
-        with pytest.raises(NumericError):
-            T.div(Tensor([1.0]), Tensor([0.0]))
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_detected_when_enabled(self):
         T.set_debug_nan_checks(True)
         try:
             tape = Tape()
-            x = tape.leaf(np.array([1000.0], dtype=np.float64))
+            x = tape.leaf(np.array([1e308], dtype=np.float64))
             with pytest.raises(NumericError):
-                T.exp(x)  # overflows to inf, which the check rejects
+                T.scale(x, 10.0)  # overflows to inf, which the check rejects
         finally:
             T.set_debug_nan_checks(False)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_disabled_by_default(self):
         tape = Tape()
-        x = tape.leaf(np.array([1000.0], dtype=np.float64))
-        assert np.isinf(T.exp(x).data).all()
+        x = tape.leaf(np.array([1e308], dtype=np.float64))
+        assert np.isinf(T.scale(x, 10.0).data).all()
 
 
 @settings(max_examples=30, deadline=None)
