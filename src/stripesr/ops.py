@@ -1,8 +1,8 @@
 """Neural-network operators on top of the tensor tape.
 
-Convolution (grouped / dilated, stride 1, reflect "same" padding), channel
-layer norm, squeeze-excite channel attention, Keys bicubic resampling,
-AdamW, and the L1 objective. All image tensors are channel-first (C, H, W).
+Convolution (grouped / dilated, stride 1, reflect "same" padding, one GEMM
+per kernel tap), channel layer norm, squeeze-excite channel attention, Keys
+bicubic resampling, AdamW and the L1 objective. Images are (C, H, W).
 Taped ops hand all their inputs to `tensor.record`, and their backward
 closures return one gradient per input; the tape decides which it keeps.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractViolation
 from . import tensor as T
@@ -44,15 +43,18 @@ def reflect_pad(x: np.ndarray, pt: int, pb: int, pl: int, pr: int):
 
     Returns the padded array and `fold`, which sums a gradient of the padded
     shape back onto (C, H, W)."""
-    c, h, wd = x.shape
+    _, h, wd = x.shape
     rows = _reflect_index(h, pt, pb)
     cols = _reflect_index(wd, pl, pr)
 
     def fold(g):
-        tmp = np.zeros((c, h, g.shape[2]), dtype=g.dtype)
-        np.add.at(tmp, (slice(None), rows), g)
-        gx = np.zeros((c, h, wd), dtype=g.dtype)
-        np.add.at(gx, (Ellipsis, cols), tmp)
+        # each padded row, then column, adds onto the sample it reflects
+        tmp = g[:, pt : pt + h].copy()
+        for r in (*range(pt), *range(pt + h, g.shape[1])):
+            tmp[:, rows[r]] += g[:, r]
+        gx = tmp[:, :, pl : pl + wd].copy()
+        for r in (*range(pl), *range(pl + wd, g.shape[2])):
+            gx[:, :, cols[r]] += tmp[:, :, r]
         return gx
 
     return x[:, rows[:, None], cols[None, :]], fold
@@ -60,7 +62,12 @@ def reflect_pad(x: np.ndarray, pt: int, pb: int, pl: int, pr: int):
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None, spec: ConvSpec) -> Tensor:
     """Grouped dilated stride-1 cross-correlation with reflect "same"
-    padding; x (C_in,H,W), w (C_out,C_in/g,kh,kw)."""
+    padding; x (C_in,H,W), w (C_out,C_in/g,kh,kw).
+
+    Tap (i, j) is one GEMM, batched over groups, with the slice of the flat
+    padded image at offset i*dil*Wp + j*dil. Rows come out at the padded
+    width Wp and their wrap-around columns are cropped; no patch copy is
+    built. Backward runs the same per-tap GEMMs for both gradients."""
     c_in, h, wd = x.shape
     c_out, c_in_g, kh, kw = w.shape
     g = spec.groups
@@ -77,27 +84,28 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, spec: ConvSpec) -> Tensor:
     ekh, ekw = (kh - 1) * dil + 1, (kw - 1) * dil + 1
     pt, pl = (ekh - 1) // 2, (ekw - 1) // 2
     xp, fold = reflect_pad(x.data, pt, ekh - 1 - pt, pl, ekw - 1 - pl)
-    view = sliding_window_view(xp, (ekh, ekw), axis=(1, 2))
-    patches = view[:, :, :, ::dil, ::dil]  # (C_in, H, W, kh, kw)
-
-    pg = patches.reshape(g, c_in_g, h, wd, kh, kw)
+    hp, wp = xp.shape[1:]
+    m = h * wp - (ekw - 1)  # slices end before the last row's wrap-around
+    xf = xp.reshape(g, c_in_g, hp * wp)
+    taps = [(i, j, i * dil * wp + j * dil) for i in range(kh) for j in range(kw)]
     wg = w.data.reshape(g, c_out // g, c_in_g, kh, kw)
-    out = np.einsum("gchwij,gocij->gohw", pg, wg, optimize=True)
-    out = np.ascontiguousarray(out.reshape(c_out, h, wd), dtype=x.dtype)
+    acc = np.zeros((g, c_out // g, h * wp), dtype=np.result_type(xf, wg))
+    for i, j, o in taps:
+        acc[..., :m] += wg[..., i, j] @ xf[..., o : o + m]
     if b is not None:
-        out = out + b.data[:, None, None]
+        acc += b.data.reshape(g, c_out // g, 1)
+    out = np.ascontiguousarray(acc.reshape(c_out, h, wp)[:, :, :wd], dtype=x.dtype)
 
     def backward(gy):
-        # `pg` views the padded input, the only array kept for backward
-        gyg = gy.reshape(g, c_out // g, h, wd)
-        gw = np.einsum("gohw,gchwij->gocij", gyg, np.ascontiguousarray(pg),
-                       optimize=True)
-        gpatch = np.einsum("gohw,gocij->gchwij", gyg, wg, optimize=True)
-        gpatch = gpatch.reshape(c_in, h, wd, kh, kw)
-        gxp = np.zeros(xp.shape, dtype=gy.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, i * dil : i * dil + h, j * dil : j * dil + wd] += gpatch[..., i, j]
+        # `xf`, the flat padded input, is the only array kept for backward
+        gy_ext = np.pad(gy, ((0, 0), (0, 0), (0, wp - wd)))
+        gy_ext = gy_ext.reshape(g, c_out // g, h * wp)[..., :m]
+        gw = np.empty(wg.shape, dtype=np.result_type(gy, xf))
+        gxf = np.zeros(xf.shape, dtype=np.result_type(gy, wg))
+        for i, j, o in taps:
+            gw[..., i, j] = gy_ext @ xf[..., o : o + m].transpose(0, 2, 1)
+            gxf[..., o : o + m] += wg[..., i, j].transpose(0, 2, 1) @ gy_ext
+        gxp = gxf.reshape(c_in, hp, wp)
         return fold(gxp), gw.reshape(c_out, c_in_g, kh, kw), gy.sum(axis=(1, 2))
 
     return T.record(out, (x, w, b), backward)

@@ -1,5 +1,7 @@
 """Conv2d, layernorm, channel attention, bicubic resize, AdamW, L1."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,37 +16,78 @@ def _t64(a):
     return Tensor(np.asarray(a), dtype=np.float64)
 
 
+# pads of 0..8 on sides of 1..6 samples: up to four reflections per side
+PAD_GRID = [(n, lo, hi) for n in range(1, 7) for lo in range(9) for hi in range(9)]
+
+
 class TestReflectIndex:
     def test_matches_np_pad(self):
-        for n in (2, 3, 5, 8):
-            for lo, hi in ((1, 1), (2, 2), (0, 1), (2, 0)):
-                if lo >= n or hi >= n:
-                    continue
-                idx = ops._reflect_index(n, lo, hi)
-                ref = np.pad(np.arange(n), (lo, hi), mode="reflect")
-                np.testing.assert_array_equal(idx, ref)
+        for n, lo, hi in PAD_GRID:
+            idx = ops._reflect_index(n, lo, hi)
+            ref = np.pad(np.arange(n), (lo, hi), mode="reflect")
+            np.testing.assert_array_equal(idx, ref)
+
+    def test_fold_is_adjoint_of_pad(self):
+        # <reflect_pad(x), g> == <x, fold(g)>, rows and columns padded
+        # differently
+        g = rng(5)
+        for n, lo, hi in PAD_GRID:
+            x = g.normal(size=(2, n, 7 - n))
+            xp, fold = ops.reflect_pad(x, lo, hi, hi // 2, lo + 1)
+            gy = g.normal(size=xp.shape)
+            gx = fold(gy)
+            assert gx.shape == x.shape
+            lhs, rhs = np.vdot(xp, gy), np.vdot(x, gx)
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs)), (n, lo, hi)
+
+
+CONV_CASES = [
+    (2, 3, (3, 3), 1, 1),
+    (4, 4, (3, 3), 1, 4),  # depthwise
+    (4, 2, (1, 1), 1, 2),  # grouped pointwise
+    (2, 2, (3, 3), 2, 1),  # dilated
+    (2, 2, (5, 5), 1, 1),
+    (6, 4, (5, 5), 1, 2),  # grouped, 1 < g < C
+]
+
+
+def _conv_inputs(c_in, c_out, kernel, dilation, groups, hw=(7, 8)):
+    g = rng(hash((c_in, c_out, kernel, dilation, groups)) % 2**31)
+    x = g.normal(size=(c_in, *hw))
+    w = g.normal(size=(c_out, c_in // groups, *kernel))
+    b = g.normal(size=c_out)
+    return x, w, b, ConvSpec(kernel=kernel, dilation=dilation, groups=groups)
 
 
 class TestConv2d:
-    @pytest.mark.parametrize(
-        "c_in,c_out,kernel,dilation,groups",
-        [
-            (2, 3, (3, 3), 1, 1),
-            (4, 4, (3, 3), 1, 4),  # depthwise
-            (4, 2, (1, 1), 1, 2),  # grouped pointwise
-            (2, 2, (3, 3), 2, 1),  # dilated
-            (2, 2, (5, 5), 1, 1),
-        ],
-    )
+    @pytest.mark.parametrize("c_in,c_out,kernel,dilation,groups", CONV_CASES)
     def test_matches_six_loop_oracle(self, c_in, c_out, kernel, dilation, groups):
-        g = rng(hash((c_in, c_out, kernel, dilation, groups)) % 2**31)
-        x = g.normal(size=(c_in, 7, 8))
-        w = g.normal(size=(c_out, c_in // groups, *kernel))
-        b = g.normal(size=c_out)
-        spec = ConvSpec(kernel=kernel, dilation=dilation, groups=groups)
+        x, w, b, spec = _conv_inputs(c_in, c_out, kernel, dilation, groups)
         got = ops.conv2d(_t64(x), _t64(w), _t64(b), spec)
         want = conv2d_oracle(x, w, b, kernel, dilation=dilation, groups=groups)
         assert rel_err(got.data, want) < 1e-6
+
+    @pytest.mark.parametrize("c_in,c_out,kernel,dilation,groups", CONV_CASES)
+    def test_float32_matches_oracle(self, c_in, c_out, kernel, dilation, groups):
+        # float32 is the production dtype; the error is taken relative to
+        # the largest output, since single outputs may cancel to near zero
+        x, w, b, spec = _conv_inputs(c_in, c_out, kernel, dilation, groups)
+        x, w, b = (a.astype(np.float32) for a in (x, w, b))
+        got = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), spec)
+        assert got.data.dtype == np.float32
+        want = conv2d_oracle(x, w, b, kernel, dilation=dilation, groups=groups)
+        assert rel_err(got.data, want, floor=np.abs(want).max()) < 1e-5
+
+    @pytest.mark.parametrize("kernel,dilation", [((5, 5), 1), ((3, 3), 2)])
+    def test_image_smaller_than_pad(self, kernel, dilation):
+        # a 2x3 image under a pad of 2: rows reflect more than once
+        x, w, b, spec = _conv_inputs(2, 3, kernel, dilation, 1, hw=(2, 3))
+        got = ops.conv2d(_t64(x), _t64(w), _t64(b), spec)
+        want = conv2d_oracle(x, w, b, kernel, dilation=dilation)
+        assert rel_err(got.data, want) < 1e-6
+        assert T.grad_check(
+            lambda t: T.reduce_mean(T.sigmoid(ops.conv2d(t, _t64(w), None, spec))),
+            x) < 1e-6
 
     def test_two_channel_5x5_oracle(self):
         g = rng(42)
@@ -99,6 +142,39 @@ class TestConv2d:
         assert T.grad_check(
             lambda t: T.reduce_mean(T.sigmoid(ops.conv2d(_t64(x), t, None, spec))),
             w) < 1e-6
+
+    @pytest.mark.parametrize(
+        "c_in,c_out,kernel,dilation,groups",
+        [
+            (2, 3, (3, 3), 2, 1),  # dense dilated, as HFSE dil2
+            (3, 3, (5, 5), 1, 3),  # depthwise 5x5, as HFSE dw5
+            (4, 4, (3, 3), 1, 2),
+        ],
+    )
+    def test_grad_check_x_w(self, c_in, c_out, kernel, dilation, groups):
+        x, w, b, spec = _conv_inputs(c_in, c_out, kernel, dilation, groups,
+                                     hw=(6, 7))
+
+        def loss_of(xa, wa):
+            return T.reduce_mean(T.sigmoid(ops.conv2d(xa, wa, _t64(b), spec)))
+
+        assert T.grad_check(lambda t: loss_of(t, _t64(w)), x) < 1e-6
+        assert T.grad_check(lambda t: loss_of(_t64(x), t), w) < 1e-6
+
+    def test_forward_peak_memory_bounded_by_input(self):
+        # no patch or column copy: the padded image plus one output-sized
+        # temporary per tap; a (C_in*kh*kw, H*W) copy would be 9x the input
+        g = rng(6)
+        x = g.normal(size=(64, 128, 128)).astype(np.float32)
+        w = g.normal(size=(8, 64, 3, 3)).astype(np.float32)
+        b = np.zeros(8, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            ops.conv2d(Tensor(x), Tensor(w), Tensor(b), ConvSpec(kernel=(3, 3)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * x.nbytes
 
     def test_group_mismatch_rejected(self):
         with pytest.raises(ContractViolation):
