@@ -7,11 +7,12 @@ The recurrence per channel d and state n over a token sequence x_t:
     h_t     = Abar_t * h_{t-1} + (delta_t * x_t) outer B_t (Euler for B)
     y_t     = <C_t, h_t> + D_skip * x_t
 
-B_t and C_t are linear projections of x_t shared across channels. Taped and
-untaped calls run one path: the token loop writes each h_t over its own
-decay Abar_t (time-major, T x B x d x n). The hand-written backward
-recomputes the decays, loops only over the dL/dh_t recurrence and computes
-every other gradient over all of T at once.
+B_t and C_t are linear projections of x_t shared across channels. The
+forward loops over chunks of CHUNK tokens, carrying h; in each chunk h_t
+overwrites its decay Abar_t in place (time-major). Untaped calls reuse one
+chunk's buffers; taped calls write into whole-T arrays that the hand-written
+backward reads. It recomputes the decays, loops only over the dL/dh_t
+recurrence and computes every other gradient over all of T at once.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from .errors import ContractViolation, NumericError
 from . import tensor as T
 from .tensor import Tensor
 from .scan import ScanOrder, gather_tokens, scatter_tokens
+
+CHUNK = 256  # tokens per step of the forward's chunk loop
 
 
 @dataclass
@@ -70,17 +73,6 @@ def delta_rank(d: int) -> int:
     return max(d // 16, 1)
 
 
-def _time_major(v):
-    """(B, k, T) -> contiguous (T, B, k), so each token is one slice."""
-    return np.ascontiguousarray(v.transpose(2, 0, 1))
-
-
-def _decay(delta, a):
-    """Per-token decays exp(delta * A), time-major (T, B, d, n)."""
-    p = _time_major(delta)[..., None] * a
-    return np.exp(p, out=p)
-
-
 def _s6_core(seq: Tensor, params: list[S6Params]) -> Tensor:
     """Batched fused scan: seq (B, d, T), one S6Params per batch entry."""
     nb, d, t = seq.shape
@@ -92,64 +84,94 @@ def _s6_core(seq: Tensor, params: list[S6Params]) -> Tensor:
         raise ContractViolation("one S6Params required per batch entry")
 
     fields = [p.tensors() for p in params]
+    inputs = (seq, *(f for fs in fields for f in fs))
     a_log, d_skip, w_b, w_c, w_dn, w_up, b_dt = (
         np.stack([f.data for f in col]) for col in zip(*fields)
     )
 
     x = seq.data
     a = -np.exp(a_log)
-    code = np.einsum("brd,bdt->brt", w_dn, x)
-    delta = np.logaddexp(0.0, np.einsum("bdr,brt->bdt", w_up, code)
-                         + b_dt[:, :, None])
-    b_t = np.einsum("bdn,bdt->bnt", w_b, x)
-    c_t = np.einsum("bdn,bdt->bnt", w_c, x)
-    dbx = delta * x
-
-    # each state overwrites its own decay, so `hs` is the decay buffer
-    hs = _decay(delta, a)
-    u, bt = _time_major(dbx)[..., None], _time_major(b_t)[:, :, None, :]
-    h = np.zeros_like(hs[0])
-    for i in range(t):
-        h = hs[i] * h + u[i] * bt[i]
-        hs[i] = h
-    y = np.einsum("tbdn,bnt->bdt", hs, c_t) + d_skip[:, :, None] * x
-    if not np.all(np.isfinite(y)):
-        raise NumericError("s6 scan produced non-finite values")
+    n, r = a.shape[2], w_dn.shape[1]
+    dtype = np.result_type(x, a_log, d_skip, w_b, w_c, w_dn, w_up, b_dt)
+    # a taped call keeps whole-T arrays for backward; an untaped one reuses
+    # CHUNK rows, of which a short sequence touches only its own
+    taped = any(v.tape is not None for v in inputs)
+    code_, delta_, b_t_, c_t_, dbx_, hs_ = (
+        np.empty((t if taped else CHUNK, nb, *k), dtype)
+        for k in ((r,), (d,), (n,), (n,), (d,), (d, n)))
+    ub_, yt_ = (np.empty((CHUNK, nb, *k), dtype) for k in ((d, n), (d,)))
+    y = np.empty((nb, d, t), dtype)
+    h = np.zeros((nb, d, n), dtype)
+    for c0 in range(0, t, CHUNK):
+        c1 = min(c0 + CHUNK, t)
+        at = slice(c0, c1) if taped else slice(0, c1 - c0)
+        code, delta, b_t, c_t, dbx, st = (
+            v[at] for v in (code_, delta_, b_t_, c_t_, dbx_, hs_))
+        ub, yt = ub_[: c1 - c0], yt_[: c1 - c0]
+        xs = x[:, :, c0:c1]
+        xc = xs.transpose(2, 0, 1)
+        # (B, k, L) GEMMs written through time-major (L, B, k) views
+        np.matmul(w_dn, xs, out=code.transpose(1, 2, 0))
+        np.matmul(w_up, code.transpose(1, 2, 0), out=delta.transpose(1, 2, 0))
+        delta += b_dt
+        np.logaddexp(0.0, delta, out=delta)
+        np.matmul(w_b.transpose(0, 2, 1), xs, out=b_t.transpose(1, 2, 0))
+        np.matmul(w_c.transpose(0, 2, 1), xs, out=c_t.transpose(1, 2, 0))
+        np.multiply(delta, xc, out=dbx)
+        # each state overwrites its own decay exp(delta * A)
+        np.exp(np.multiply(delta[..., None], a, out=st), out=st)
+        np.multiply(dbx[..., None], b_t[:, :, None, :], out=ub)
+        for s, u in zip(st, ub):
+            s *= h
+            s += u
+            h = s
+        h = h.copy()
+        np.einsum("tbdn,tbn->tbd", st, c_t, out=yt)
+        np.add(yt, d_skip * xc, out=y[:, :, c0:c1].transpose(2, 0, 1))
+    bad = np.argwhere(~np.isfinite(y).all(axis=1).T)  # (token, entry), earliest first
+    if bad.size:
+        raise NumericError(f"s6 scan produced non-finite values at token {bad[0, 0]} "
+                           f"of batch entry {bad[0, 1]}")
 
     def backward(gy):
-        abar = _decay(delta, a)
+        xt, gyt = x.transpose(2, 0, 1), gy.transpose(2, 0, 1)
+        delta, code, b_t, c_t, dbx, hs = delta_, code_, b_t_, c_t_, dbx_, hs_
+        abar = delta[..., None] * a
+        np.exp(abar, out=abar)
         # gh[i] = dL/dh_i; only this recurrence runs token by token
-        gh = _time_major(gy)[..., None] * _time_major(c_t)[:, :, None, :]
+        gh = gyt[..., None] * c_t[:, :, None, :]
+        tmp = np.empty_like(gh[0])
         for i in range(t - 2, -1, -1):
-            gh[i] += abar[i + 1] * gh[i + 1]
-        g_ct = np.einsum("tbdn,bdt->bnt", hs, gy)
-        g_bt = np.einsum("tbdn,bdt->bnt", gh, dbx)
-        g_dbx = np.einsum("tbdn,bnt->bdt", gh, b_t)
+            gh[i] += np.multiply(abar[i + 1], gh[i + 1], out=tmp)
+        g_ct = np.einsum("tbdn,tbd->tbn", hs, gyt)
+        g_bt = np.einsum("tbdn,tbd->tbn", gh, dbx)
+        g_dbx = np.einsum("tbdn,tbn->tbd", gh, b_t)
         # dL/d(delta_i * A) = gh_i * abar_i * h_{i-1}, with h_{-1} = 0
         g_da = np.multiply(abar, gh, out=abar)
         g_da[1:] *= hs[:-1]
         g_da[0] = 0.0
-        g_delta = np.einsum("tbdn,bdn->bdt", g_da, a) + g_dbx * x
-        g_a_log = np.einsum("tbdn,bdt->bdn", g_da, delta) * a  # dA/dA_log = A
+        g_delta = np.einsum("tbdn,bdn->tbd", g_da, a) + g_dbx * xt
+        g_a_log = np.einsum("tbdn,tbd->bdn", g_da, delta) * a  # dA/dA_log = A
         g_raw = g_delta * -np.expm1(-delta)  # softplus' = 1 - exp(-softplus)
-        g_b_dt = g_raw.sum(axis=2)
-        g_w_up = np.einsum("bdt,brt->bdr", g_raw, code)
-        g_code = np.einsum("bdr,bdt->brt", w_up, g_raw)
-        g_w_dn = np.einsum("brt,bdt->brd", g_code, x)
+        g_b_dt = g_raw.sum(axis=0)
+        g_w_up = np.einsum("tbd,tbr->bdr", g_raw, code)
+        g_code = np.einsum("bdr,tbd->tbr", w_up, g_raw)
+        g_w_dn = np.einsum("tbr,tbd->brd", g_code, xt)
         g_dskip = np.einsum("bdt,bdt->bd", gy, x)
-        g_w_b = np.einsum("bnt,bdt->bdn", g_bt, x)
-        g_w_c = np.einsum("bnt,bdt->bdn", g_ct, x)
-        gx = (gy * d_skip[:, :, None] + g_dbx * delta
-              + np.einsum("brd,brt->bdt", w_dn, g_code)
-              + np.einsum("bdn,bnt->bdt", w_b, g_bt)
-              + np.einsum("bdn,bnt->bdt", w_c, g_ct))
+        g_w_b = np.einsum("tbn,tbd->bdn", g_bt, xt)
+        g_w_c = np.einsum("tbn,tbd->bdn", g_ct, xt)
+        gx = (gyt * d_skip + g_dbx * delta
+              + np.einsum("brd,tbr->tbd", w_dn, g_code)
+              + np.einsum("bdn,tbn->tbd", w_b, g_bt)
+              + np.einsum("bdn,tbn->tbd", w_c, g_ct))
 
         g_fields = (g_a_log, g_dskip, g_w_b, g_w_c, g_w_dn, g_w_up, g_b_dt)
-        return [gx] + [g[k] for k in range(nb) for g in g_fields]
+        return ([np.ascontiguousarray(gx.transpose(1, 2, 0))]
+                + [g[k] for k in range(nb) for g in g_fields])
 
     # a tensor shared by several entries is listed once per entry; the tape
     # sums its per-entry gradients
-    return T.record(y, (seq, *(f for fs in fields for f in fs)), backward)
+    return T.record(y, inputs, backward)
 
 
 def ss2d(x: Tensor, params: list[S6Params], orders: list[ScanOrder]) -> Tensor:

@@ -57,7 +57,7 @@ from stripesr.ops import (
     l1_loss,
     layernorm,
 )
-from stripesr.s6 import S6Params, _s6_core, delta_rank, ss2d
+from stripesr.s6 import CHUNK, S6Params, _s6_core, delta_rank, ss2d
 from stripesr.scan import (
     count_vertical_transitions,
     gather_tokens,
@@ -191,12 +191,16 @@ def test_criterion_03_selective_scan_oracle_equivalence(capsys):
             x = np.random.default_rng(inst).normal(size=(d, t))
             got = _s6_core(_t64(x[None]), [p]).data[0]
             assert rel_err(got, s6_oracle(x, **raw)) < 1e-5
-        # one batched call with a distinct parameter set per entry
-        sets = [_random_s6_params(2000 + k, d, n) for k in range(4)]
-        xb = np.random.default_rng(50).normal(size=(4, d, t))
-        got = _s6_core(_t64(xb), [p for p, _ in sets]).data
-        for k, (_, raw) in enumerate(sets):
-            assert rel_err(got[k], s6_oracle(xb[k], **raw)) < 1e-5
+        # one batched call with a distinct parameter set per entry, and
+        # sequences that end inside and at the end of a later chunk
+        for t_long in (t, CHUNK + 5, 2 * CHUNK):
+            sets = [_random_s6_params(2000 + k, d, n) for k in range(4)]
+            xb = np.random.default_rng(50).normal(size=(4, d, t_long))
+            got = _s6_core(_t64(xb), [p for p, _ in sets]).data
+            for k, (_, raw) in enumerate(sets):
+                assert rel_err(got[k], s6_oracle(xb[k], **raw)) < 1e-5
+                got_k = _s6_core(_t64(xb[k : k + 1]), [sets[k][0]]).data[0]
+                assert rel_err(got_k, s6_oracle(xb[k], **raw)) < 1e-5
         # hand-unrolled scalar recurrence, d=1 N=1 T=3
         p, raw = _random_s6_params(7, 1, 1)
         xs = [0.4, -0.7, 1.1]

@@ -1,12 +1,14 @@
 """Selective-scan recurrence: oracles, causality, gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import rel_err, rng, s6_oracle
 from stripesr import tensor as T
-from stripesr.errors import ContractViolation
-from stripesr.s6 import S6Params, _s6_core, delta_rank, ss2d
+from stripesr.errors import ContractViolation, NumericError
+from stripesr.s6 import CHUNK, S6Params, _s6_core, delta_rank, ss2d
 from stripesr.scan import gather_tokens, make_order, scatter_tokens
 from stripesr.tensor import Tape, Tensor
 
@@ -92,16 +94,47 @@ class TestNaiveForward:
 class TestCore:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_taped_and_untaped_outputs_bit_identical(self, dtype):
+        # taped calls keep whole-sequence arrays, untaped ones reuse a
+        # chunk buffer; T = CHUNK + 3 ends in a short second chunk
         sets = [make_params(50 + k, 4, 8, dtype=dtype) for k in range(3)]
-        x = rng(51).normal(size=(3, 4, 17)).astype(dtype)
-        plain = _s6_core(Tensor(x), [p for p, _ in sets])
-        tape = Tape()
-        taped = _s6_core(tape.leaf(x), [
-            S6Params(**{k: tape.leaf(np.asarray(v, dtype)) for k, v in raw.items()})
-            for _, raw in sets])
-        assert plain.node_id is None and taped.node_id is not None
-        assert plain.dtype == taped.dtype == dtype
-        np.testing.assert_array_equal(plain.data, taped.data)
+        for t in (17, CHUNK + 3):
+            x = rng(51).normal(size=(3, 4, t)).astype(dtype)
+            plain = _s6_core(Tensor(x), [p for p, _ in sets])
+            tape = Tape()
+            taped = _s6_core(tape.leaf(x), [
+                S6Params(**{k: tape.leaf(np.asarray(v, dtype))
+                            for k, v in raw.items()})
+                for _, raw in sets])
+            assert plain.node_id is None and taped.node_id is not None
+            assert plain.dtype == taped.dtype == dtype
+            np.testing.assert_array_equal(plain.data, taped.data)
+
+    def test_untaped_peak_memory_bounded_by_input(self):
+        # the output plus O(CHUNK) buffers; a (T, B, d, n) state buffer
+        # would be n = 16 times the input
+        sets = [make_params(60 + k, 16, 16, dtype=np.float32) for k in range(4)]
+        x = rng(61).normal(size=(4, 16, 16384)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            _s6_core(Tensor(x), [p for p, _ in sets])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * x.nbytes
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_error_names_entry_and_token(self):
+        # with unit weights a token of 1e120 puts x^3 = inf into the state
+        # of entry 1 at a token in the second chunk
+        ones = lambda *s: Tensor(np.ones(s))
+        p = S6Params(a_log=ones(1, 1), d_skip=ones(1), w_b=ones(1, 1),
+                     w_c=ones(1, 1), w_dt_down=ones(1, 1), w_dt_up=ones(1, 1),
+                     b_dt=Tensor(np.zeros(1)))
+        x = rng(62).normal(size=(2, 1, 2 * CHUNK))
+        x[1, 0, CHUNK + 7] = 1e120
+        with pytest.raises(NumericError,
+                           match=f"token {CHUNK + 7} of batch entry 1$"):
+            _s6_core(Tensor(x, dtype=np.float64), [p, p])
 
 
 class TestGradients:
@@ -135,6 +168,13 @@ class TestGradients:
     @pytest.mark.parametrize("t", [1, 2])
     @pytest.mark.parametrize("key", ["x"] + KEYS)
     def test_short_sequences(self, key, t):
+        err = self._input_err(t) if key == "x" else self._param_err(key, t)
+        assert err < 2e-3
+
+    # the second chunk starts from the state carried out of the first
+    @pytest.mark.parametrize("key", ["x"] + KEYS)
+    def test_across_chunk_boundary(self, key):
+        t = CHUNK + 3
         err = self._input_err(t) if key == "x" else self._param_err(key, t)
         assert err < 2e-3
 
