@@ -90,11 +90,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, spec: ConvSpec) -> Tensor:
     taps = [(i, j, i * dil * wp + j * dil) for i in range(kh) for j in range(kw)]
     wg = w.data.reshape(g, c_out // g, c_in_g, kh, kw)
     acc = np.zeros((g, c_out // g, h * wp), dtype=np.result_type(xf, wg))
-    # a length-1 contraction (depthwise) is an outer product: broadcast it
-    tap_x = np.multiply if c_in_g == 1 else np.matmul
-    tap_gx = np.multiply if c_out // g == 1 else np.matmul
     for i, j, o in taps:
-        acc[..., :m] += tap_x(wg[..., i, j], xf[..., o : o + m])
+        acc[..., :m] += wg[..., i, j] @ xf[..., o : o + m]
     if b is not None:
         acc += b.data.reshape(g, c_out // g, 1)
     out = np.ascontiguousarray(acc.reshape(c_out, h, wp)[:, :, :wd], dtype=x.dtype)
@@ -107,7 +104,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, spec: ConvSpec) -> Tensor:
         gxf = np.zeros(xf.shape, dtype=np.result_type(gy, wg))
         for i, j, o in taps:
             gw[..., i, j] = gy_ext @ xf[..., o : o + m].transpose(0, 2, 1)
-            gxf[..., o : o + m] += tap_gx(wg[..., i, j].transpose(0, 2, 1), gy_ext)
+            gxf[..., o : o + m] += wg[..., i, j].transpose(0, 2, 1) @ gy_ext
         gxp = gxf.reshape(c_in, hp, wp)
         return fold(gxp), gw.reshape(c_out, c_in_g, kh, kw), gy.sum(axis=(1, 2))
 

@@ -94,12 +94,12 @@ def _s6_core(seq: Tensor, params: list[S6Params]) -> Tensor:
     n, r = a.shape[2], w_dn.shape[1]
     dtype = np.result_type(x, a_log, d_skip, w_b, w_c, w_dn, w_up, b_dt)
     # a taped call keeps whole-T arrays for backward; an untaped one reuses
-    # CHUNK rows, of which a short sequence touches only its own
+    # one chunk's rows
     taped = any(v.tape is not None for v in inputs)
     code_, delta_, b_t_, c_t_, dbx_, hs_ = (
-        np.empty((t if taped else CHUNK, nb, *k), dtype)
+        np.empty((t if taped else min(t, CHUNK), nb, *k), dtype)
         for k in ((r,), (d,), (n,), (n,), (d,), (d, n)))
-    ub_, yt_ = (np.empty((CHUNK, nb, *k), dtype) for k in ((d, n), (d,)))
+    ub_ = np.empty((min(t, CHUNK), nb, d, n), dtype)
     y = np.empty((nb, d, t), dtype)
     h = np.zeros((nb, d, n), dtype)
     for c0 in range(0, t, CHUNK):
@@ -107,7 +107,7 @@ def _s6_core(seq: Tensor, params: list[S6Params]) -> Tensor:
         at = slice(c0, c1) if taped else slice(0, c1 - c0)
         code, delta, b_t, c_t, dbx, st = (
             v[at] for v in (code_, delta_, b_t_, c_t_, dbx_, hs_))
-        ub, yt = ub_[: c1 - c0], yt_[: c1 - c0]
+        ub = ub_[: c1 - c0]
         xs = x[:, :, c0:c1]
         xc = xs.transpose(2, 0, 1)
         # (B, k, L) GEMMs written through time-major (L, B, k) views
@@ -126,8 +126,9 @@ def _s6_core(seq: Tensor, params: list[S6Params]) -> Tensor:
             s += u
             h = s
         h = h.copy()
-        np.einsum("tbdn,tbn->tbd", st, c_t, out=yt)
-        np.add(yt, d_skip * xc, out=y[:, :, c0:c1].transpose(2, 0, 1))
+        yv = y[:, :, c0:c1].transpose(2, 0, 1)
+        np.einsum("tbdn,tbn->tbd", st, c_t, out=yv)
+        yv += d_skip * xc
     bad = np.argwhere(~np.isfinite(y).all(axis=1).T)  # (token, entry), earliest first
     if bad.size:
         raise NumericError(f"s6 scan produced non-finite values at token {bad[0, 0]} "
