@@ -19,14 +19,10 @@ from .errors import ContractViolation
 from . import tensor as T
 from . import ops
 from .tensor import Tensor
-from .ops import ConvSpec
 from .s6 import S6Params, delta_rank, ss2d
 from .scan import ScanOrder, make_order
 
 CHANNEL_SCALING = 8
-
-_CONV3 = ConvSpec(kernel=(3, 3))
-_CONV1 = ConvSpec(kernel=(1, 1))
 
 
 @lru_cache(maxsize=256)
@@ -81,8 +77,8 @@ def _s6_specs(path, d, n):
     ]
 
 
-def _conv(x, pv, name, spec=_CONV3):
-    return ops.conv2d(x, pv[f"{name}.w"], pv[f"{name}.b"], spec)
+def _conv(x, pv, name, dilation=1):
+    return ops.conv2d(x, pv[f"{name}.w"], pv[f"{name}.b"], dilation)
 
 
 def _ln(x, pv, name):
@@ -116,14 +112,13 @@ def vssm_forward(x: Tensor, pv: ParamView, orders: list[ScanOrder]) -> Tensor:
     """LN -> expand x2 -> depthwise 3x3 -> SiLU -> 4-direction scan along
     `orders` -> LN -> SiLU gate from the expand branch -> contract ->
     residual."""
-    d_inner = 2 * x.shape[0]
-    t = _conv(_ln(x, pv, "ln_in"), pv, "in_proj", _CONV1)
-    a = T.silu(_conv(t, pv, "dw", ConvSpec(kernel=(3, 3), groups=d_inner)))
+    t = _conv(_ln(x, pv, "ln_in"), pv, "in_proj")
+    a = T.silu(_conv(t, pv, "dw"))
     params = [_s6_params(pv, "s6", k) for k in range(4)]
     y = ss2d(a, params, orders)
     y = _ln(y, pv, "ln_out")
     y = T.mul(y, T.silu(t))
-    return T.add(_conv(y, pv, "out_proj", _CONV1), x)
+    return T.add(_conv(y, pv, "out_proj"), x)
 
 
 # ---------------------------------------------------------------- soft gate
@@ -195,12 +190,11 @@ def hfse_specs(c: int, n: int):
 def hfse_forward(x: Tensor, pv: ParamView, orders: list[ScanOrder]) -> Tensor:
     """Global branch (conv -> LN -> VSSM) soft-gated against two dilated
     local branches read off a shared 5x5 depthwise feature."""
-    inner = inner_channels(x.shape[0])
     xp = _conv(x, pv, "head")
     g = vssm_forward(_ln(_conv(xp, pv, "g_conv"), pv, "g_ln"), pv.sub("vssm"), orders)
-    local = _conv(xp, pv, "dw5", ConvSpec(kernel=(5, 5), groups=inner))
-    x21 = _conv(local, pv, "dil1", ConvSpec(kernel=(3, 3), dilation=1))
-    x22 = _conv(local, pv, "dil2", ConvSpec(kernel=(3, 3), dilation=2))
+    local = _conv(xp, pv, "dw5")
+    x21 = _conv(local, pv, "dil1")
+    x22 = _conv(local, pv, "dil2", 2)
     fused = soft_gate(g, x21, x22, pv["alpha"])
     return _conv(T.add(fused, xp), pv, "tail")
 
@@ -234,9 +228,6 @@ def hlfd_forward(y: Tensor, pv: ParamView, orders: list[ScanOrder]) -> Tensor:
     y1 = T.narrow(yp, 0, 0, half)
     y2 = T.narrow(yp, 0, half, half)
     y1 = vssm_forward(y1, pv.sub("vssm"), orders)
-    y2 = _conv(
-        _conv(y2, pv, "ds_dw", ConvSpec(kernel=(3, 3), groups=half)),
-        pv, "ds_pw", _CONV1,
-    )
+    y2 = _conv(_conv(y2, pv, "ds_dw"), pv, "ds_pw")
     fused = T.add(_conv(T.concat([y1, y2], axis=0), pv, "fuse"), yp)
     return _conv(fused, pv, "tail")

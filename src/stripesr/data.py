@@ -165,6 +165,8 @@ def synth_cube(seed: int, bands: int, height: int, width: int,
     adjacent bands correlate strongly; values normalized to [0, 1]."""
     if min(bands, height, width) < 1 or min(height, width) < 4:
         raise ContractViolation("synth_cube needs spatial dims >= 4")
+    if not 0 < smoothness < np.inf:  # also rejects NaN
+        raise ContractViolation(f"smoothness must be finite and > 0, got {smoothness}")
     rng = np.random.default_rng(seed)
     n_blobs = 8
     yy, xx = np.mgrid[0:height, 0:width].astype(np.float64)

@@ -31,7 +31,6 @@ from .errors import ContractViolation, FormatError, NumericError
 from . import tensor as T
 from . import ops
 from .tensor import Tensor, Tape
-from .ops import ConvSpec
 from . import blocks
 from .blocks import ParamView
 from .data import SCALES, atomic_open
@@ -40,8 +39,6 @@ from .wavelet import dwt_haar, iwt_haar, WaveletPair
 
 CKPT_MAGIC = b"HSRW"
 CKPT_VERSION = 1
-
-_CONV3 = ConvSpec(kernel=(3, 3))
 
 
 @dataclass(frozen=True)
@@ -174,7 +171,7 @@ def forward(x_lr: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor
 
     x_up = ops.bicubic_resize(x_lr, cfg.scale)
     pv = ParamView(params)
-    cur = ops.conv2d(x_up, pv["global.head.w"], pv["global.head.b"], _CONV3)
+    cur = ops.conv2d(x_up, pv["global.head.w"], pv["global.head.b"])
     cur = _stage(cur, params, "enc.0.lfse", blocks.lfse_forward, cfg)
 
     highs = []
@@ -192,7 +189,7 @@ def forward(x_lr: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor
         y = _crop(iwt_haar(WaveletPair(low=cur, high=h_out)), dims)
         cur = _stage(y, params, f"dec.{i}.hlfd", blocks.hlfd_forward, cfg)
 
-    residual = ops.conv2d(cur, pv["global.tail.w"], pv["global.tail.b"], _CONV3)
+    residual = ops.conv2d(cur, pv["global.tail.w"], pv["global.tail.b"])
     out = T.add(x_up, residual)
     if not np.all(np.isfinite(out.data)):
         raise NumericError("forward produced non-finite values")

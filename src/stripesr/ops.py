@@ -18,18 +18,6 @@ from . import tensor as T
 from .tensor import Tensor
 
 
-@dataclass(frozen=True)
-class ConvSpec:
-    kernel: tuple[int, int] = (3, 3)
-    dilation: int = 1
-    groups: int = 1
-
-    def __post_init__(self):
-        kh, kw = self.kernel
-        if kh < 1 or kw < 1 or self.dilation < 1 or self.groups < 1:
-            raise ContractViolation(f"invalid ConvSpec {self}")
-
-
 def _reflect_index(n: int, pad_lo: int, pad_hi: int) -> np.ndarray:
     idx = np.arange(-pad_lo, n + pad_hi)
     # reflect without repeating the edge sample (numpy 'reflect' mode)
@@ -60,34 +48,34 @@ def reflect_pad(x: np.ndarray, pt: int, pb: int, pl: int, pr: int):
     return x[:, rows[:, None], cols[None, :]], fold
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None, spec: ConvSpec) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, b: Tensor | None, dilation: int = 1) -> Tensor:
     """Grouped dilated stride-1 cross-correlation with reflect "same"
-    padding; x (C_in,H,W), w (C_out,C_in/g,kh,kw).
+    padding; x (C_in,H,W), w (C_out,C_in/g,kh,kw). The weight fixes the
+    kernel and the group count g = C_in / w.shape[1].
 
     Tap (i, j) is one GEMM, batched over groups, with the slice of the flat
-    padded image at offset i*dil*Wp + j*dil. Rows come out at the padded
+    padded image at offset (i*Wp + j)*dilation. Rows come out at the padded
     width Wp and their wrap-around columns are cropped; no patch copy is
     built. Backward runs the same per-tap GEMMs for both gradients."""
     c_in, h, wd = x.shape
     c_out, c_in_g, kh, kw = w.shape
-    g = spec.groups
-    if c_in % g != 0 or c_out % g != 0 or c_in_g != c_in // g:
+    if min(w.shape) < 1 or c_in % c_in_g != 0 or c_out % (c_in // c_in_g) != 0:
         raise ContractViolation(
-            f"conv2d: channels ({c_in}->{c_out}) incompatible with groups={g}"
+            f"conv2d: weight {w.shape} does not group {c_in} input channels"
         )
-    if (kh, kw) != spec.kernel:
-        raise ContractViolation("conv2d: weight kernel dims disagree with spec")
+    g = c_in // c_in_g
     if b is not None and b.shape != (c_out,):
         raise ContractViolation("conv2d: bias must have shape (C_out,)")
+    if dilation < 1:
+        raise ContractViolation(f"conv2d: dilation must be >= 1, got {dilation}")
 
-    dil = spec.dilation
-    ekh, ekw = (kh - 1) * dil + 1, (kw - 1) * dil + 1
+    ekh, ekw = (kh - 1) * dilation + 1, (kw - 1) * dilation + 1
     pt, pl = (ekh - 1) // 2, (ekw - 1) // 2
     xp, fold = reflect_pad(x.data, pt, ekh - 1 - pt, pl, ekw - 1 - pl)
     hp, wp = xp.shape[1:]
     m = h * wp - (ekw - 1)  # slices end before the last row's wrap-around
     xf = xp.reshape(g, c_in_g, hp * wp)
-    taps = [(i, j, i * dil * wp + j * dil) for i in range(kh) for j in range(kw)]
+    taps = [(i, j, (i * wp + j) * dilation) for i in range(kh) for j in range(kw)]
     wg = w.data.reshape(g, c_out // g, c_in_g, kh, kw)
     acc = np.zeros((g, c_out // g, h * wp), dtype=np.result_type(xf, wg))
     for i, j, o in taps:
@@ -204,8 +192,8 @@ class OptState:
 
 def adamw_step(params: dict, grads: dict, state: OptState) -> None:
     """One decoupled-weight-decay Adam update, in place on `params`."""
-    if state.lr <= 0:
-        raise ContractViolation("adamw_step: lr must be positive")
+    if not 0 < state.lr < np.inf:  # also rejects NaN
+        raise ContractViolation(f"adamw_step: lr must be finite and > 0, got {state.lr}")
     state.step += 1
     t = state.step
     bc1 = 1.0 - state.beta1**t

@@ -176,18 +176,9 @@ def _s6_core(seq: Tensor, params: list[S6Params]) -> Tensor:
 
 
 def ss2d(x: Tensor, params: list[S6Params], orders: list[ScanOrder]) -> Tensor:
-    """Four-direction scan-and-merge: gather, scan, scatter, sum (fixed order)."""
+    """VMamba's SS2D on a (C, H, W) image: cross-scan it along the K orders
+    into one (K, C, T) batch, scan entry k with params[k] in one S6 call, and
+    cross-merge, summing the K sequences put back along their orders."""
     if len(params) != len(orders):
         raise ContractViolation("ss2d: need one S6Params per ScanOrder")
-    c, h, w = x.shape
-    for o in orders:
-        if (o.h, o.w) != (h, w):
-            raise ContractViolation("ss2d: all orders must match the image dims")
-    seqs = T.stack([gather_tokens(x, o) for o in orders], axis=0)
-    ys = _s6_core(seqs, params)
-    out = None
-    for k, o in enumerate(orders):
-        seq_k = T.reshape(T.narrow(ys, 0, k, 1), (c, h * w))
-        img_k = scatter_tokens(seq_k, o)
-        out = img_k if out is None else T.add(out, img_k)
-    return out
+    return scatter_tokens(_s6_core(gather_tokens(x, orders), params), orders)

@@ -5,6 +5,8 @@ stripe (narrow vertical bands traversed row-major so consecutive tokens
 include vertical neighbours). Each order is an explicit bijection between
 sequence positions and flat grid indices, in four directional variants:
 0 = base, 1 = reversal of 0, 2 = transposed scheme, 3 = reversal of 2.
+`gather_tokens` reads an image along K orders at once (cross-scan), and
+`scatter_tokens`, its adjoint, merges K sequences back onto the grid.
 """
 
 from __future__ import annotations
@@ -84,32 +86,40 @@ def count_vertical_transitions(order: ScanOrder) -> int:
     return int(np.count_nonzero(same_col & adjacent))
 
 
-def gather_tokens(x: Tensor, order: ScanOrder) -> Tensor:
-    """(C, H, W) image -> (C, T) token sequence along the scan order."""
-    c, h, w = x.shape
-    if (h, w) != (order.h, order.w):
+def _gather(x: np.ndarray, orders) -> np.ndarray:
+    """(C, H, W) array -> (K, C, T) array, row k read along order k."""
+    flat = x.reshape(x.shape[0], -1)
+    out = np.empty((len(orders), *flat.shape), dtype=x.dtype)
+    for o, row in zip(orders, out):
+        # a permutation is always in range; "clip" writes `row` unbuffered
+        np.take(flat, o.perm, axis=1, out=row, mode="clip")
+    return out
+
+
+def _scatter(seqs: np.ndarray, orders) -> np.ndarray:
+    """(K, C, T) array -> (C, H, W) array: sequence k put back on the grid
+    along order k, the K images summed in k order. The adjoint of _gather."""
+    out = np.take(seqs[0], orders[0].inv, axis=1)
+    for o, s in zip(orders[1:], seqs[1:]):
+        out += np.take(s, o.inv, axis=1)
+    return out.reshape(-1, orders[0].h, orders[0].w)
+
+
+def gather_tokens(x: Tensor, orders: list[ScanOrder]) -> Tensor:
+    """Cross-scan: (C, H, W) image -> (K, C, T) token sequences, one per
+    scan order."""
+    if not orders or any((o.h, o.w) != x.shape[1:] for o in orders):
+        raise ContractViolation(f"gather_tokens: need orders on the {x.shape[1:]} grid")
+    return T._record_unary(x, _gather(x.data, orders), lambda g: _scatter(g, orders))
+
+
+def scatter_tokens(seqs: Tensor, orders: list[ScanOrder]) -> Tensor:
+    """Cross-merge: (K, C, T) sequences -> (C, H, W) image, the sum over k
+    of sequence k put back along order k; the adjoint of gather_tokens."""
+    k, _, t = seqs.shape
+    grids = {(o.h, o.w) for o in orders}
+    if k != len(orders) or len(grids) != 1 or t != orders[0].size:
         raise ContractViolation(
-            f"gather_tokens: order is {order.h}x{order.w}, image is {h}x{w}"
-        )
-    flat = x.data.reshape(c, h * w)
-    out = np.ascontiguousarray(flat[:, order.perm])
-
-    def dfn(g):
-        return np.ascontiguousarray(g[:, order.inv]).reshape(c, h, w)
-
-    return T._record_unary(x, out, dfn)
-
-
-def scatter_tokens(seq: Tensor, order: ScanOrder) -> Tensor:
-    """(C, T) token sequence -> (C, H, W) image; exact inverse of gather."""
-    c, t = seq.shape
-    if t != order.size:
-        raise ContractViolation(
-            f"scatter_tokens: sequence length {t} != grid size {order.size}"
-        )
-    out = np.ascontiguousarray(seq.data[:, order.inv]).reshape(c, order.h, order.w)
-
-    def dfn(g):
-        return np.ascontiguousarray(g.reshape(c, t)[:, order.perm])
-
-    return T._record_unary(seq, out, dfn)
+            f"scatter_tokens: {k} sequences of {t} tokens for orders on {grids}")
+    return T._record_unary(seqs, _scatter(seqs.data, orders),
+                           lambda g: _gather(g, orders))

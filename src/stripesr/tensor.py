@@ -293,13 +293,6 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     return _record_unary(a, out, dfn)
 
 
-def stack(tensors, axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-    out = np.stack([t.data for t in tensors], axis=axis)
-    return record(out, tensors, lambda g: [
-        np.ascontiguousarray(piece) for piece in np.moveaxis(g, axis, 0)])
-
-
 def grad_check(f, x, eps: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 

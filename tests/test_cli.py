@@ -78,6 +78,14 @@ class TestSynthDegrade:
             "--out", b)
         assert open(a, "rb").read() == open(b, "rb").read()
 
+    @pytest.mark.parametrize("smoothness", ["nan", "0"])
+    def test_synth_bad_smoothness_exit_2(self, tmp_path, capsys, smoothness):
+        out = tmp_path / "x.hsc"
+        assert run("synth", "--seed", "0", "--bands", "2", "--size", "16",
+                   "--smoothness", smoothness, "--out", str(out)) == 2
+        assert "smoothness" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_degrade_halves_dims(self, gt_path, tmp_path):
         out = str(tmp_path / "lr.hsc")
         assert run("degrade", "--in", gt_path, "--scale", "2",
@@ -119,6 +127,16 @@ class TestTrainInferEval:
         assert all(np.isfinite(float(v)) for v in row)
         lines = open(loss_csv).read().splitlines()
         assert lines[0] == "step,loss" and len(lines) == 4
+
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_train_non_finite_lr_exit_2(self, gt_path, tmp_path, capsys, lr):
+        ckpt = tmp_path / "m.hsrw"
+        assert run("train", "--gt", gt_path, "--scale", "2", "--steps", "1",
+                   "--ckpt", str(ckpt), "--hidden", "8", "--levels", "1",
+                   "--state", "4", "--patch", "16", "--patches", "1",
+                   "--batch", "1", "--lr", lr) == 2
+        assert "lr must be finite" in capsys.readouterr().err
+        assert not ckpt.exists()
 
     def test_eval_sam_map_is_p6(self, gt_path, tmp_path):
         out = str(tmp_path / "map.ppm")

@@ -191,8 +191,8 @@ class TestFlops:
         counted = []
         conv2d, ss2d, attn = ops.conv2d, blocks.ss2d, ops.channel_attention
 
-        def count_conv(x, w, b, spec):
-            out = conv2d(x, w, b, spec)
+        def count_conv(x, w, b, *rest):
+            out = conv2d(x, w, b, *rest)
             c_out, c_in_g, kh, kw = w.shape
             counted.append(2 * kh * kw * c_in_g * c_out
                            * out.shape[1] * out.shape[2])

@@ -8,7 +8,7 @@ import pytest
 from conftest import conv2d_oracle, rel_err, rng
 from stripesr import ops, tensor as T
 from stripesr.errors import ContractViolation
-from stripesr.ops import ConvSpec, OptState
+from stripesr.ops import OptState
 from stripesr.tensor import Tensor
 
 
@@ -56,14 +56,14 @@ def _conv_inputs(c_in, c_out, kernel, dilation, groups, hw=(7, 8)):
     x = g.normal(size=(c_in, *hw))
     w = g.normal(size=(c_out, c_in // groups, *kernel))
     b = g.normal(size=c_out)
-    return x, w, b, ConvSpec(kernel=kernel, dilation=dilation, groups=groups)
+    return x, w, b
 
 
 class TestConv2d:
     @pytest.mark.parametrize("c_in,c_out,kernel,dilation,groups", CONV_CASES)
     def test_matches_six_loop_oracle(self, c_in, c_out, kernel, dilation, groups):
-        x, w, b, spec = _conv_inputs(c_in, c_out, kernel, dilation, groups)
-        got = ops.conv2d(_t64(x), _t64(w), _t64(b), spec)
+        x, w, b = _conv_inputs(c_in, c_out, kernel, dilation, groups)
+        got = ops.conv2d(_t64(x), _t64(w), _t64(b), dilation)
         want = conv2d_oracle(x, w, b, kernel, dilation=dilation, groups=groups)
         assert rel_err(got.data, want) < 1e-6
 
@@ -71,9 +71,9 @@ class TestConv2d:
     def test_float32_matches_oracle(self, c_in, c_out, kernel, dilation, groups):
         # float32 is the production dtype; the error is taken relative to
         # the largest output, since single outputs may cancel to near zero
-        x, w, b, spec = _conv_inputs(c_in, c_out, kernel, dilation, groups)
+        x, w, b = _conv_inputs(c_in, c_out, kernel, dilation, groups)
         x, w, b = (a.astype(np.float32) for a in (x, w, b))
-        got = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), spec)
+        got = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), dilation)
         assert got.data.dtype == np.float32
         want = conv2d_oracle(x, w, b, kernel, dilation=dilation, groups=groups)
         assert rel_err(got.data, want, floor=np.abs(want).max()) < 1e-5
@@ -81,12 +81,12 @@ class TestConv2d:
     @pytest.mark.parametrize("kernel,dilation", [((5, 5), 1), ((3, 3), 2)])
     def test_image_smaller_than_pad(self, kernel, dilation):
         # a 2x3 image under a pad of 2: rows reflect more than once
-        x, w, b, spec = _conv_inputs(2, 3, kernel, dilation, 1, hw=(2, 3))
-        got = ops.conv2d(_t64(x), _t64(w), _t64(b), spec)
+        x, w, b = _conv_inputs(2, 3, kernel, dilation, 1, hw=(2, 3))
+        got = ops.conv2d(_t64(x), _t64(w), _t64(b), dilation)
         want = conv2d_oracle(x, w, b, kernel, dilation=dilation)
         assert rel_err(got.data, want) < 1e-6
         assert T.grad_check(
-            lambda t: T.reduce_mean(T.sigmoid(ops.conv2d(t, _t64(w), None, spec))),
+            lambda t: T.reduce_mean(T.sigmoid(ops.conv2d(t, _t64(w), None, dilation))),
             x) < 1e-6
 
     def test_two_channel_5x5_oracle(self):
@@ -94,7 +94,7 @@ class TestConv2d:
         x = g.normal(size=(2, 5, 5))
         w = g.normal(size=(3, 2, 3, 3))
         b = g.normal(size=3)
-        got = ops.conv2d(_t64(x), _t64(w), _t64(b), ConvSpec(kernel=(3, 3)))
+        got = ops.conv2d(_t64(x), _t64(w), _t64(b))
         want = conv2d_oracle(x, w, b, (3, 3))
         assert rel_err(got.data, want) < 1e-6
 
@@ -103,14 +103,14 @@ class TestConv2d:
         w = np.zeros((3, 3, 3, 3))
         for c in range(3):
             w[c, c, 1, 1] = 1.0
-        got = ops.conv2d(_t64(x), _t64(w), None, ConvSpec(kernel=(3, 3)))
+        got = ops.conv2d(_t64(x), _t64(w), None)
         np.testing.assert_allclose(got.data, x, rtol=1e-12)
 
     def test_no_bias(self):
         g = rng(2)
         x = g.normal(size=(2, 5, 5))
         w = g.normal(size=(2, 2, 3, 3))
-        got = ops.conv2d(_t64(x), _t64(w), None, ConvSpec(kernel=(3, 3)))
+        got = ops.conv2d(_t64(x), _t64(w), None)
         want = conv2d_oracle(x, w, None, (3, 3))
         assert rel_err(got.data, want) < 1e-6
 
@@ -119,10 +119,9 @@ class TestConv2d:
         x = g.normal(size=(2, 5, 6))
         w = g.normal(size=(3, 2, 3, 3))
         b = g.normal(size=3)
-        spec = ConvSpec(kernel=(3, 3))
 
         def loss_of(xa, wa, ba):
-            return T.reduce_mean(T.sigmoid(ops.conv2d(xa, wa, ba, spec)))
+            return T.reduce_mean(T.sigmoid(ops.conv2d(xa, wa, ba)))
 
         assert T.grad_check(
             lambda t: loss_of(t, _t64(w), _t64(b)), x) < 1e-6
@@ -135,12 +134,11 @@ class TestConv2d:
         g = rng(4)
         x = g.normal(size=(3, 6, 6))
         w = g.normal(size=(3, 1, 3, 3))
-        spec = ConvSpec(kernel=(3, 3), dilation=2, groups=3)
         assert T.grad_check(
-            lambda t: T.reduce_mean(T.sigmoid(ops.conv2d(t, _t64(w), None, spec))),
+            lambda t: T.reduce_mean(T.sigmoid(ops.conv2d(t, _t64(w), None, 2))),
             x) < 1e-6
         assert T.grad_check(
-            lambda t: T.reduce_mean(T.sigmoid(ops.conv2d(_t64(x), t, None, spec))),
+            lambda t: T.reduce_mean(T.sigmoid(ops.conv2d(_t64(x), t, None, 2))),
             w) < 1e-6
 
     @pytest.mark.parametrize(
@@ -152,11 +150,11 @@ class TestConv2d:
         ],
     )
     def test_grad_check_x_w(self, c_in, c_out, kernel, dilation, groups):
-        x, w, b, spec = _conv_inputs(c_in, c_out, kernel, dilation, groups,
+        x, w, b = _conv_inputs(c_in, c_out, kernel, dilation, groups,
                                      hw=(6, 7))
 
         def loss_of(xa, wa):
-            return T.reduce_mean(T.sigmoid(ops.conv2d(xa, wa, _t64(b), spec)))
+            return T.reduce_mean(T.sigmoid(ops.conv2d(xa, wa, _t64(b), dilation)))
 
         assert T.grad_check(lambda t: loss_of(t, _t64(w)), x) < 1e-6
         assert T.grad_check(lambda t: loss_of(_t64(x), t), w) < 1e-6
@@ -170,16 +168,23 @@ class TestConv2d:
         b = np.zeros(8, dtype=np.float32)
         tracemalloc.start()
         try:
-            ops.conv2d(Tensor(x), Tensor(w), Tensor(b), ConvSpec(kernel=(3, 3)))
+            ops.conv2d(Tensor(x), Tensor(w), Tensor(b))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4 * x.nbytes
 
     def test_group_mismatch_rejected(self):
+        # the weight's C_in/g must divide C_in, and g must divide C_out
         with pytest.raises(ContractViolation):
             ops.conv2d(_t64(np.ones((3, 4, 4))), _t64(np.ones((2, 2, 3, 3))),
-                       None, ConvSpec(kernel=(3, 3), groups=2))
+                       None)
+        with pytest.raises(ContractViolation):
+            ops.conv2d(_t64(np.ones((4, 4, 4))), _t64(np.ones((3, 2, 3, 3))),
+                       None)
+        with pytest.raises(ContractViolation):
+            ops.conv2d(_t64(np.ones((2, 4, 4))), _t64(np.ones((2, 2, 3, 3))),
+                       None, 0)
 
 
 class TestLayerNorm:

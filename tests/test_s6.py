@@ -226,9 +226,8 @@ class TestSs2d:
         for which in range(4):
             params = [live if k == which else dead for k in range(4)]
             got = ss2d(x, params, orders).data
-            seq = T.reshape(gather_tokens(x, orders[which]), (1, d, 24))
-            ys = T.reshape(_s6_core(seq, [live]), (d, 24))
-            want = scatter_tokens(ys, orders[which]).data
+            one = [orders[which]]
+            want = scatter_tokens(_s6_core(gather_tokens(x, one), [live]), one).data
             assert rel_err(got, want) < 1e-6, which
 
     def test_gradient_through_all_directions(self):
@@ -261,6 +260,15 @@ class TestSs2d:
             return T.reduce_mean(T.sigmoid(ss2d(x, [S6Params(**kw)] * 4, orders)))
 
         assert T.grad_check(f, raw["a_log"].copy()) < 2e-3
+
+    def test_records_three_tape_nodes(self):
+        # cross-scan, scan and cross-merge: one node each, whatever K is
+        p, _ = make_params(25, 2, 2)
+        tape = Tape()
+        x = tape.leaf(rng(26).normal(size=(2, 3, 4)))
+        before = len(tape.nodes)
+        ss2d(x, [p] * 4, self._orders(3, 4))
+        assert len(tape.nodes) - before == 3
 
     def test_requires_four_of_each(self):
         p, _ = make_params(23, 2, 2)

@@ -139,36 +139,49 @@ class TestGatherScatter:
     def test_roundtrip_identity(self):
         o = make_order("stripe", 4, 6, 2, 0)
         x = Tensor(rng(0).normal(size=(3, 4, 6)), dtype=np.float64)
-        back = scatter_tokens(gather_tokens(x, o), o)
+        back = scatter_tokens(gather_tokens(x, [o]), [o])
         np.testing.assert_array_equal(back.data, x.data)
 
     def test_gather_layout(self):
         o = make_order("stripe", 2, 4, 2, 0)
         x = np.arange(8.0).reshape(1, 2, 4)
-        seq = gather_tokens(Tensor(x, dtype=np.float64), o).data
-        np.testing.assert_array_equal(seq[0], [0, 1, 4, 5, 2, 3, 6, 7])
+        seq = gather_tokens(Tensor(x, dtype=np.float64), [o]).data
+        np.testing.assert_array_equal(seq[0, 0], [0, 1, 4, 5, 2, 3, 6, 7])
 
     def test_gather_grad_is_all_ones(self):
         o = make_order("window", 4, 4, 2, 0)
         tape = T.Tape()
         x = tape.leaf(rng(1).normal(size=(2, 4, 4)))
-        tape.backward(T.reduce_mean(gather_tokens(x, o)))
+        tape.backward(T.reduce_mean(gather_tokens(x, [o])))
         # every entry gets the mean's gradient, 1/32, back unchanged
         np.testing.assert_array_equal(tape.grad(x), np.full((2, 4, 4), 1 / 32))
 
     def test_scatter_grad_check(self):
         o = make_order("stripe", 3, 4, 2, 1)
-        x = rng(2).normal(size=(2, 12))
+        x = rng(2).normal(size=(1, 2, 12))
         err = T.grad_check(
-            lambda t: T.reduce_mean(T.sigmoid(scatter_tokens(t, o))), x)
+            lambda t: T.reduce_mean(T.sigmoid(scatter_tokens(t, [o]))), x)
         assert err < 1e-6
+
+    def test_four_orders_are_adjoint(self):
+        # <gather(x), s> == <x, scatter(s)>: each op's backward is the other
+        orders = [make_order("stripe", 5, 7, 2, d) for d in range(4)]
+        g = rng(3)
+        x, s = g.normal(size=(3, 5, 7)), g.normal(size=(4, 3, 35))
+        lhs = np.vdot(gather_tokens(Tensor(x, dtype=np.float64), orders).data, s)
+        rhs = np.vdot(x, scatter_tokens(Tensor(s, dtype=np.float64), orders).data)
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
     def test_shape_mismatch_rejected(self):
         o = make_order("raster", 3, 3, 1)
         with pytest.raises(ContractViolation):
-            gather_tokens(Tensor(np.ones((2, 4, 4))), o)
+            gather_tokens(Tensor(np.ones((2, 4, 4))), [o])
         with pytest.raises(ContractViolation):
-            scatter_tokens(Tensor(np.ones((2, 5))), o)
+            scatter_tokens(Tensor(np.ones((1, 2, 5))), [o])  # T != 3 * 3
+        with pytest.raises(ContractViolation):
+            scatter_tokens(Tensor(np.ones((2, 2, 9))), [o])  # K != 1 order
+        with pytest.raises(ContractViolation):
+            gather_tokens(Tensor(np.ones((2, 3, 3))), [])
 
 
 @settings(max_examples=50, deadline=None)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import matmul_oracle, rel_err, rng
 from stripesr import ops, tensor as T
 from stripesr.errors import ContractViolation, NumericError
-from stripesr.ops import ConvSpec
 from stripesr.tensor import Tape, Tensor
 
 
@@ -81,7 +80,7 @@ class TestTapeBackward:
 
         def weight_grad(tape, xt):
             wt = tape.leaf(w)
-            out = ops.conv2d(xt, wt, None, ConvSpec())
+            out = ops.conv2d(xt, wt, None)
             tape.backward(T.reduce_mean(T.sigmoid(out)))
             return tape.nodes[out.node_id].parent_ids, wt.node_id, tape.grad(wt)
 
@@ -220,17 +219,6 @@ class TestShapeOps:
     def test_narrow_out_of_bounds(self):
         with pytest.raises(ContractViolation):
             T.narrow(Tensor(np.ones((3, 3))), 0, 2, 5)
-
-    def test_stack_values_and_grad(self):
-        a = rng(16).normal(size=(2, 3))
-        b = rng(17).normal(size=(2, 3))
-        got = T.stack([Tensor(a, dtype=np.float64),
-                       Tensor(b, dtype=np.float64)], axis=0)
-        np.testing.assert_array_equal(got.data, np.stack([a, b], axis=0))
-        err = T.grad_check(
-            lambda t: T.reduce_mean(T.sigmoid(
-                T.stack([t, Tensor(b, dtype=np.float64)], axis=0))), a)
-        assert err < 1e-6
 
 
 class TestGradCheckHarness:
