@@ -262,7 +262,7 @@ class TestSs2d:
         assert T.grad_check(f, raw["a_log"].copy()) < 2e-3
 
     def test_records_three_tape_nodes(self):
-        # cross-scan, scan and cross-merge: one node each, whatever K is
+        # cross-scan, scan and cross-merge: one node each for all four orders
         p, _ = make_params(25, 2, 2)
         tape = Tape()
         x = tape.leaf(rng(26).normal(size=(2, 3, 4)))
