@@ -31,9 +31,17 @@ def reflect_pad(x: np.ndarray, pt: int, pb: int, pl: int, pr: int):
 
     Returns the padded array and `fold`, which sums a gradient of the padded
     shape back onto (C, H, W)."""
-    _, h, wd = x.shape
+    c, h, wd = x.shape
     rows = _reflect_index(h, pt, pb)
     cols = _reflect_index(wd, pl, pr)
+    # slice copies, mirroring fold: the interior, each padded row, then
+    # each padded column from the row-padded interior columns
+    xp = np.empty((c, pt + h + pb, pl + wd + pr), x.dtype)
+    xp[:, pt : pt + h, pl : pl + wd] = x
+    for r in (*range(pt), *range(pt + h, xp.shape[1])):
+        xp[:, r, pl : pl + wd] = x[:, rows[r]]
+    for r in (*range(pl), *range(pl + wd, xp.shape[2])):
+        xp[:, :, r] = xp[:, :, pl + cols[r]]
 
     def fold(g):
         # each padded row, then column, adds onto the sample it reflects
@@ -45,7 +53,7 @@ def reflect_pad(x: np.ndarray, pt: int, pb: int, pl: int, pr: int):
             gx[:, :, cols[r]] += tmp[:, :, r]
         return gx
 
-    return x[:, rows[:, None], cols[None, :]], fold
+    return xp, fold
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None, dilation: int = 1) -> Tensor:

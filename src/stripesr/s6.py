@@ -9,10 +9,13 @@ The recurrence per channel d and state n over a token sequence x_t:
 
 B_t and C_t are linear projections of x_t shared across channels. The
 forward loops over chunks of CHUNK tokens, carrying h; in each chunk h_t
-overwrites its decay Abar_t in place (time-major). Untaped calls reuse one
-chunk's buffers; taped calls write into whole-T arrays that the hand-written
-backward reads. It recomputes the decays, loops only over the dL/dh_t
-recurrence and computes every other gradient over all of T at once.
+overwrites its decay Abar_t in place (time-major). Each chunk stage is one
+numpy kernel: GEMMs for the projections, `tensor.softplus` for delta, einsum
+for the outer products delta*A and (delta*x) B_t, and a batched matmul for
+the readout <C_t, h_t>. Untaped calls reuse one chunk's buffers; taped calls
+write into whole-T arrays that the hand-written backward reads. It
+recomputes the decays, loops only over the dL/dh_t recurrence and computes
+every other gradient over all of T at once.
 """
 
 from __future__ import annotations
@@ -100,6 +103,9 @@ def _s6_core(seq: Tensor, params: list[S6Params]) -> Tensor:
         np.empty((t if taped else min(t, CHUNK), nb, *k), dtype)
         for k in ((r,), (d,), (n,), (n,), (d,), (d, n)))
     ub_ = np.empty((min(t, CHUNK), nb, d, n), dtype)
+    # the softplus scratch and the readout borrow the front of ub's memory:
+    # both run while ub holds no injections
+    sp_ = ub_.reshape(-1)[: ub_.shape[0] * nb * d].reshape(-1, nb, d)
     y = np.empty((nb, d, t), dtype)
     h = np.zeros((nb, d, n), dtype)
     for c0 in range(0, t, CHUNK):
@@ -107,28 +113,30 @@ def _s6_core(seq: Tensor, params: list[S6Params]) -> Tensor:
         at = slice(c0, c1) if taped else slice(0, c1 - c0)
         code, delta, b_t, c_t, dbx, st = (
             v[at] for v in (code_, delta_, b_t_, c_t_, dbx_, hs_))
-        ub = ub_[: c1 - c0]
+        ub, sp = ub_[: c1 - c0], sp_[: c1 - c0]
         xs = x[:, :, c0:c1]
         xc = xs.transpose(2, 0, 1)
         # (B, k, L) GEMMs written through time-major (L, B, k) views
         np.matmul(w_dn, xs, out=code.transpose(1, 2, 0))
         np.matmul(w_up, code.transpose(1, 2, 0), out=delta.transpose(1, 2, 0))
         delta += b_dt
-        np.logaddexp(0.0, delta, out=delta)
+        T.softplus(delta, out=delta, scratch=sp)
         np.matmul(w_b.transpose(0, 2, 1), xs, out=b_t.transpose(1, 2, 0))
         np.matmul(w_c.transpose(0, 2, 1), xs, out=c_t.transpose(1, 2, 0))
         np.multiply(delta, xc, out=dbx)
-        # each state overwrites its own decay exp(delta * A)
-        np.exp(np.multiply(delta[..., None], a, out=st), out=st)
-        np.multiply(dbx[..., None], b_t[:, :, None, :], out=ub)
+        # each state overwrites its own decay exp(delta * A); einsum writes
+        # these outer products faster than a broadcast over the short n axis
+        np.exp(np.einsum("tbd,bdn->tbdn", delta, a, out=st), out=st)
+        np.einsum("tbd,tbn->tbdn", dbx, b_t, out=ub)
         for s, u in zip(st, ub):
             s *= h
             s += u
             h = s
         h = h.copy()
-        yv = y[:, :, c0:c1].transpose(2, 0, 1)
-        np.einsum("tbdn,tbn->tbd", st, c_t, out=yv)
-        yv += d_skip * xc
+        # into the contiguous scratch the matmul runs up to 2x faster than
+        # into the strided output view
+        np.matmul(st, c_t[..., None], out=sp[..., None])
+        np.add(sp, d_skip * xc, out=y[:, :, c0:c1].transpose(2, 0, 1))
     bad = np.argwhere(~np.isfinite(y).all(axis=1).T)  # (token, entry), earliest first
     if bad.size:
         raise NumericError(f"s6 scan produced non-finite values at token {bad[0, 0]} "

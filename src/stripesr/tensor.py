@@ -156,9 +156,32 @@ def record(out, inputs, backward) -> Tensor:
 
 
 def logistic(x):
-    """Elementwise 1 / (1 + exp(-x)) on numpy values, as exp(-softplus(-x)),
-    which is stable for large |x|."""
-    return np.exp(-np.logaddexp(0.0, -x))
+    """Elementwise 1 / (1 + exp(-x)) on numpy values, in x's dtype.
+
+    With z = exp(-|x|) in (0, 1], this is 1 / (1 + z) for x >= 0 and
+    z / (1 + z) below, so nothing overflows for large |x| and the result
+    stays in [0, 1]. (0.5 * tanh(x / 2) + 0.5 is faster but loses all
+    relative accuracy in the negative tail.)"""
+    z = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, z)
+    z += 1.0
+    out /= z
+    return out
+
+
+def softplus(x, out=None, scratch=None):
+    """Elementwise log(1 + exp(x)) on numpy values, in x's dtype, as
+    max(x, 0) + log1p(exp(-|x|)), which never overflows.
+
+    `out` may be x itself; `scratch`, an array of x's shape and dtype, holds
+    the log1p term, so a caller that passes both allocates nothing."""
+    z = np.abs(x, out=scratch)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    np.log1p(z, out=z)
+    out = np.maximum(x, 0.0, out=out)
+    out += z
+    return out
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:

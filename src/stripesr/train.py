@@ -34,6 +34,26 @@ class TrainConfig:
     loss_target: float | None = None  # absolute early-stop threshold
     grad_clip: float | None = None  # max global grad norm, off by default
 
+    def __post_init__(self):
+        # reject bad settings before any patch is sampled or step is run
+        checks = (
+            ("lr must be finite and > 0", math.isfinite(self.lr) and self.lr > 0),
+            ("weight_decay must be finite and >= 0",
+             math.isfinite(self.weight_decay) and self.weight_decay >= 0),
+            ("batch must be >= 1", self.batch >= 1),
+            ("epochs must be >= 0", self.epochs >= 0),
+            ("max_steps must be None or >= 1",
+             self.max_steps is None or self.max_steps >= 1),
+            ("grad_clip must be None or finite and > 0",
+             self.grad_clip is None
+             or (math.isfinite(self.grad_clip) and self.grad_clip > 0)),
+            ("loss_target must be None or finite",
+             self.loss_target is None or math.isfinite(self.loss_target)),
+        )
+        for msg, ok in checks:
+            if not ok:
+                raise ContractViolation(f"TrainConfig: {msg}")
+
     def patch_for(self, mcfg: ModelConfig) -> int:
         p = self.gt_patch if self.gt_patch is not None else default_gt_patch(mcfg.scale)
         if p % mcfg.scale or p % (2**mcfg.levels):

@@ -1,5 +1,6 @@
 """CLI surface: commands run in-process through main(argv)."""
 
+import importlib
 import os
 import stat
 import struct
@@ -11,6 +12,10 @@ from conftest import ABSURD_SHAPES, absurd_shape_checkpoint
 from stripesr import cli
 from stripesr.data import read_hsc, synth_cube, write_hsc
 from stripesr.model import ModelConfig, init_weights, save_checkpoint
+
+# the package re-exports `train` the function under the module's name
+model_module = importlib.import_module("stripesr.model")
+train_module = importlib.import_module("stripesr.train")
 
 
 def run(*argv):
@@ -129,7 +134,14 @@ class TestTrainInferEval:
         assert lines[0] == "step,loss" and len(lines) == 4
 
     @pytest.mark.parametrize("lr", ["nan", "inf"])
-    def test_train_non_finite_lr_exit_2(self, gt_path, tmp_path, capsys, lr):
+    def test_train_non_finite_lr_exit_2(self, gt_path, tmp_path, capsys, lr,
+                                        monkeypatch):
+        # the config is rejected before any forward pass runs
+        def no_forward(*args):
+            raise AssertionError("forward ran before --lr was checked")
+
+        monkeypatch.setattr(model_module, "forward", no_forward)
+        monkeypatch.setattr(train_module, "forward", no_forward)
         ckpt = tmp_path / "m.hsrw"
         assert run("train", "--gt", gt_path, "--scale", "2", "--steps", "1",
                    "--ckpt", str(ckpt), "--hidden", "8", "--levels", "1",

@@ -27,6 +27,15 @@ class TestReflectIndex:
             ref = np.pad(np.arange(n), (lo, hi), mode="reflect")
             np.testing.assert_array_equal(idx, ref)
 
+    def test_pad_matches_np_pad(self):
+        # rows padded (lo, hi) and columns (hi, lo) on (3, n, n + 1) arrays
+        for n, lo, hi in PAD_GRID:
+            x = rng(n).normal(size=(3, n, n + 1)).astype(np.float32)
+            xp, _ = ops.reflect_pad(x, lo, hi, hi, lo)
+            ref = np.pad(x, ((0, 0), (lo, hi), (hi, lo)), mode="reflect")
+            np.testing.assert_array_equal(xp, ref, err_msg=str((n, lo, hi)))
+            assert xp.dtype == np.float32 and xp.flags["C_CONTIGUOUS"]
+
     def test_fold_is_adjoint_of_pad(self):
         # <reflect_pad(x), g> == <x, fold(g)>, rows and columns padded
         # differently

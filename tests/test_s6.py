@@ -109,6 +109,24 @@ class TestCore:
             assert plain.dtype == taped.dtype == dtype
             np.testing.assert_array_equal(plain.data, taped.data)
 
+    @pytest.mark.parametrize("b_dt", [30.0, -30.0])
+    def test_saturating_and_vanishing_step_match_oracle(self, b_dt):
+        # delta ~ 30 zeroes the decays; delta ~ exp(-30) barely moves h.
+        # Both tails of the softplus, batched and one entry at a time.
+        raws = [make_params(70 + k, 4, 8)[1] for k in range(3)]
+        params = []
+        for raw in raws:
+            raw["b_dt"] = np.full(4, b_dt)
+            params.append(S6Params(**{k: Tensor(v, dtype=np.float64)
+                                      for k, v in raw.items()}))
+        x = rng(71).normal(size=(3, 4, CHUNK + 5))
+        got = _s6_core(Tensor(x, dtype=np.float64), params).data
+        for k, raw in enumerate(raws):
+            want = s6_oracle(x[k], **raw)
+            assert rel_err(got[k], want) < 1e-5
+            one = _s6_core(Tensor(x[k : k + 1], dtype=np.float64), [params[k]])
+            assert rel_err(one.data[0], want) < 1e-5
+
     def test_untaped_peak_memory_bounded_by_input(self):
         # the output plus O(CHUNK) buffers; a (T, B, d, n) state buffer
         # would be n = 16 times the input

@@ -145,6 +145,56 @@ class TestElementwise:
         assert err < 1e-6
 
 
+# zero, tiny, unit, large and past-overflow arguments of both signs
+HELPER_ARGS = [0.0] + [s * v for v in (1e-8, 1.0, 20.0, 88.0, 89.0, 104.0,
+                                       1e4, np.inf) for s in (1.0, -1.0)]
+
+
+def _logistic_ref(x):
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+class TestNumpyHelpers:
+    """`logistic` and `softplus` against float64 references."""
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6),
+                                            (np.float64, 1e-14)])
+    @pytest.mark.parametrize("fn, ref", [
+        (T.logistic, _logistic_ref),
+        (T.softplus, lambda x: np.logaddexp(0.0, x)),
+    ], ids=["logistic", "softplus"])
+    def test_matches_float64_reference(self, fn, ref, dtype, tol):
+        x = np.array(HELPER_ARGS, dtype=dtype)
+        got = fn(x)
+        assert got.dtype == dtype
+        want = ref(x.astype(np.float64))
+        got = got.astype(np.float64)
+        tiny = np.finfo(dtype).tiny
+        normal = np.isfinite(want) & (np.abs(want) >= tiny)
+        err = np.abs(got[normal] - want[normal]) / np.abs(want[normal])
+        assert err.max() <= tol, x[normal][np.argmax(err)]
+        # infinities exactly, results below the normal range to within it
+        np.testing.assert_array_equal(got[np.isinf(want)], want[np.isinf(want)])
+        sub = np.isfinite(want) & ~normal
+        assert np.all(np.abs(got[sub] - want[sub]) <= tiny)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_logistic_stays_in_unit_interval(self, dtype):
+        x = np.concatenate([np.array(HELPER_ARGS, dtype=dtype),
+                            rng(6).normal(0, 30, 1000).astype(dtype)])
+        got = T.logistic(x)
+        assert got.min() >= 0.0 and got.max() <= 1.0
+
+    def test_softplus_in_place_with_scratch_matches(self):
+        x = rng(7).normal(0, 10, (5, 3, 4)).astype(np.float32)
+        want = T.softplus(x)
+        buf = x.copy()
+        got = T.softplus(buf, out=buf, scratch=np.empty_like(buf))
+        assert got is buf
+        np.testing.assert_array_equal(got, want)
+
+
 class TestMatmul:
     def test_matches_triple_loop_oracle(self):
         a = rng(6).normal(size=(5, 7))

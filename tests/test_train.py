@@ -142,6 +142,19 @@ class TestTrainLoop:
         _, curve = train(micro_dataset(), cfg, MICRO)
         assert curve[1] < curve[0]
 
+    @pytest.mark.parametrize("field, value", [
+        ("lr", float("nan")), ("lr", float("inf")), ("lr", 0.0),
+        ("lr", -1e-4), ("weight_decay", float("nan")),
+        ("weight_decay", float("inf")), ("weight_decay", -1e-4),
+        ("batch", 0), ("epochs", -1), ("max_steps", 0),
+        ("grad_clip", float("nan")), ("grad_clip", float("inf")),
+        ("grad_clip", 0.0), ("loss_target", float("nan")),
+        ("loss_target", float("-inf")),
+    ])
+    def test_bad_setting_rejected_on_construction(self, field, value):
+        with pytest.raises(ContractViolation, match=f"TrainConfig: {field} must"):
+            TrainConfig(**{field: value})
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ContractViolation):
             train([], TrainConfig(), MICRO)
