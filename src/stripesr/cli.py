@@ -26,6 +26,13 @@ def _positive_int(value):
     return iv
 
 
+def _non_negative_int(value):
+    iv = int(value)
+    if iv < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return iv
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stripesr",
@@ -34,7 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic hyperspectral cube")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
+    p.add_argument("--seed", type=_non_negative_int, default=0,
+                   help="RNG seed (default: 0)")
     p.add_argument("--bands", type=_positive_int, default=8,
                    help="spectral bands (default: 8)")
     p.add_argument("--size", type=_positive_int, default=64,
@@ -65,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="S6 state dim N (default: 16)")
     p.add_argument("--scan", choices=KINDS, default="stripe",
                    help="scan order kind (default: stripe)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
+    p.add_argument("--seed", type=_non_negative_int, default=0,
+                   help="RNG seed (default: 0)")
     p.add_argument("--lr", type=float, default=1e-4,
                    help="learning rate (default: 1e-4)")
     p.add_argument("--batch", type=_positive_int, default=8,

@@ -167,6 +167,8 @@ def synth_cube(seed: int, bands: int, height: int, width: int,
         raise ContractViolation("synth_cube needs spatial dims >= 4")
     if not 0 < smoothness < np.inf:  # also rejects NaN
         raise ContractViolation(f"smoothness must be finite and > 0, got {smoothness}")
+    if seed < 0:
+        raise ContractViolation(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     n_blobs = 8
     yy, xx = np.mgrid[0:height, 0:width].astype(np.float64)

@@ -62,6 +62,8 @@ class ModelConfig:
             raise ContractViolation("levels, stripe and blocks_per_level must be >= 1")
         if self.scan_kind not in KINDS:
             raise ContractViolation(f"unknown scan kind {self.scan_kind!r}")
+        if self.seed < 0:
+            raise ContractViolation("seed must be >= 0")
 
 
 @dataclass

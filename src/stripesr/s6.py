@@ -14,8 +14,9 @@ numpy kernel: GEMMs for the projections, `tensor.softplus` for delta, einsum
 for the outer products delta*A and (delta*x) B_t, and a batched matmul for
 the readout <C_t, h_t>. Untaped calls reuse one chunk's buffers; taped calls
 write into whole-T arrays that the hand-written backward reads. It
-recomputes the decays, loops only over the dL/dh_t recurrence and computes
-every other gradient over all of T at once.
+recomputes the decays, loops only over the dL/dh_t recurrence and takes
+every other gradient over all of T: per-token contractions and sums over T
+as batched matmuls, and einsums where a matmul would broadcast A's (B, d).
 """
 
 from __future__ import annotations
@@ -145,38 +146,37 @@ def _s6_core(seq: Tensor, params: list[S6Params]) -> Tensor:
     def backward(gy):
         xt, gyt = x.transpose(2, 0, 1), gy.transpose(2, 0, 1)
         delta, code, b_t, c_t, dbx, hs = delta_, code_, b_t_, c_t_, dbx_, hs_
-        abar = delta[..., None] * a
+        abar = np.einsum("tbd,bdn->tbdn", delta, a)
         np.exp(abar, out=abar)
-        # gh[i] = dL/dh_i; only this recurrence runs token by token
-        gh = gyt[..., None] * c_t[:, :, None, :]
-        tmp = np.empty_like(gh[0])
+        # gh[i] = dL/dh_i; only this recurrence runs token by token, and
+        # each step leaves g_da's product abar[i+1] * gh[i+1] in abar[i+1]
+        gh = np.einsum("tbd,tbn->tbdn", gyt, c_t)
         for i in range(t - 2, -1, -1):
-            gh[i] += np.multiply(abar[i + 1], gh[i + 1], out=tmp)
-        g_ct = np.einsum("tbdn,tbd->tbn", hs, gyt)
-        g_bt = np.einsum("tbdn,tbd->tbn", gh, dbx)
-        g_dbx = np.einsum("tbdn,tbn->tbd", gh, b_t)
-        # dL/d(delta_i * A) = gh_i * abar_i * h_{i-1}, with h_{-1} = 0
-        g_da = np.multiply(abar, gh, out=abar)
+            gh[i] += np.multiply(abar[i + 1], gh[i + 1], out=abar[i + 1])
+        g_ct = np.matmul(gyt[:, :, None, :], hs)[:, :, 0]  # (1, d) @ (d, n)
+        g_bt = np.matmul(dbx[:, :, None, :], gh)[:, :, 0]
+        g_dbx = np.matmul(gh, b_t[..., None])[..., 0]  # (d, n) @ (n, 1)
+        del gh  # so that it is not held through the whole-T work below
+        g_da = abar  # dL/d(delta_i * A) = gh_i * abar_i * h_{i-1}, h_{-1} = 0
         g_da[1:] *= hs[:-1]
         g_da[0] = 0.0
         g_delta = np.einsum("tbdn,bdn->tbd", g_da, a) + g_dbx * xt
         g_a_log = np.einsum("tbdn,tbd->bdn", g_da, delta) * a  # dA/dA_log = A
         g_raw = g_delta * -np.expm1(-delta)  # softplus' = 1 - exp(-softplus)
         g_b_dt = g_raw.sum(axis=0)
-        g_w_up = np.einsum("tbd,tbr->bdr", g_raw, code)
-        g_code = np.einsum("bdr,tbd->tbr", w_up, g_raw)
-        g_w_dn = np.einsum("tbr,tbd->brd", g_code, xt)
+        # the sums over T: GEMMs batched over b on (b, k, t) views
+        g_raw, g_bt, g_ct = (v.transpose(1, 2, 0) for v in (g_raw, g_bt, g_ct))
+        g_w_up = np.matmul(g_raw, code.transpose(1, 0, 2))
+        g_code = np.matmul(w_up.transpose(0, 2, 1), g_raw)  # (b, r, t)
+        g_w_dn = np.matmul(g_code, x.transpose(0, 2, 1))
         g_dskip = np.einsum("bdt,bdt->bd", gy, x)
-        g_w_b = np.einsum("tbn,tbd->bdn", g_bt, xt)
-        g_w_c = np.einsum("tbn,tbd->bdn", g_ct, xt)
-        gx = (gyt * d_skip + g_dbx * delta
-              + np.einsum("brd,tbr->tbd", w_dn, g_code)
-              + np.einsum("bdn,tbn->tbd", w_b, g_bt)
-              + np.einsum("bdn,tbn->tbd", w_c, g_ct))
+        g_w_b = np.matmul(x, g_bt.transpose(0, 2, 1))
+        g_w_c = np.matmul(x, g_ct.transpose(0, 2, 1))
+        gx = np.matmul(w_dn.transpose(0, 2, 1), g_code) + np.matmul(w_b, g_bt)
+        gx += np.matmul(w_c, g_ct) + (gyt * d_skip + g_dbx * delta).transpose(1, 2, 0)
 
         g_fields = (g_a_log, g_dskip, g_w_b, g_w_c, g_w_dn, g_w_up, g_b_dt)
-        return ([np.ascontiguousarray(gx.transpose(1, 2, 0))]
-                + [g[k] for k in range(nb) for g in g_fields])
+        return [gx] + [g[k] for k in range(nb) for g in g_fields]
 
     # a tensor shared by several entries is listed once per entry; the tape
     # sums its per-entry gradients

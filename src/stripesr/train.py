@@ -42,6 +42,7 @@ class TrainConfig:
              math.isfinite(self.weight_decay) and self.weight_decay >= 0),
             ("batch must be >= 1", self.batch >= 1),
             ("epochs must be >= 0", self.epochs >= 0),
+            ("seed must be >= 0", self.seed >= 0),
             ("max_steps must be None or >= 1",
              self.max_steps is None or self.max_steps >= 1),
             ("grad_clip must be None or finite and > 0",

@@ -91,6 +91,19 @@ class TestSynthDegrade:
         assert "smoothness" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cmd", ["synth", "train"])
+    def test_negative_seed_exit_2(self, gt_path, tmp_path, capsys, cmd):
+        out = tmp_path / "out.bin"
+        argv = {"synth": ["synth", "--bands", "2", "--size", "16",
+                          "--out", str(out)],
+                "train": ["train", "--gt", gt_path, "--scale", "2",
+                          "--steps", "1", "--ckpt", str(out)]}[cmd]
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--seed", "-1")
+        assert exc.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_degrade_halves_dims(self, gt_path, tmp_path):
         out = str(tmp_path / "lr.hsc")
         assert run("degrade", "--in", gt_path, "--scale", "2",

@@ -246,6 +246,10 @@ class TestSynthCube:
         with pytest.raises(ContractViolation):
             synth_cube(0, 1, 2, 8)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ContractViolation, match="seed"):
+            synth_cube(-1, 1, 8, 8)
+
 
 class TestPseudoColor:
     def test_p6_header_2x2(self):

@@ -50,6 +50,10 @@ class TestConfig:
         with pytest.raises(ContractViolation):
             ModelConfig(bands=8, scale=2, levels=0)
 
+    def test_negative_seed(self):
+        with pytest.raises(ContractViolation, match="seed"):
+            ModelConfig(bands=8, scale=2, seed=-1)
+
 
 class TestInitWeights:
     def test_deterministic_per_seed(self):

@@ -140,6 +140,29 @@ class TestCore:
             tracemalloc.stop()
         assert peak < 3 * x.nbytes
 
+    def test_taped_backward_memory_and_dtype(self):
+        # the backward keeps the taped states and adds the decays and dL/dh,
+        # two (T, B, d, n) buffers: a further whole-T temporary breaks the
+        # bound, and a matmul that upcasts breaks the float32 check
+        nb, d, n, t = 4, 16, 16, 2 * CHUNK + 1
+        tape = Tape()
+        x = tape.leaf(rng(63).normal(size=(nb, d, t)).astype(np.float32))
+        y = _s6_core(x, [
+            S6Params(**{k: tape.leaf(np.asarray(v, np.float32))
+                        for k, v in make_params(64 + j, d, n)[1].items()})
+            for j in range(nb)])
+        backward = tape.nodes[y.node_id].backward
+        gy = rng(65).normal(size=y.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            grads = backward(gy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * t * nb * d * n * 4
+        assert len(grads) == 1 + 7 * nb
+        assert all(g.dtype == np.float32 for g in grads)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_error_names_entry_and_token(self):
         # with unit weights a token of 1e120 puts x^3 = inf into the state
@@ -195,6 +218,34 @@ class TestGradients:
         t = CHUNK + 3
         err = self._input_err(t) if key == "x" else self._param_err(key, t)
         assert err < 2e-3
+
+    def test_input_gradient_across_two_chunk_boundaries(self):
+        # the third chunk starts from a state carried through the second
+        assert self._input_err(2 * CHUNK + 1) < 2e-3
+
+    def test_every_gradient_of_a_rank_two_batched_call(self):
+        # delta rank 2 and distinct nb, n and t: a transposed w_dt_up or
+        # w_dt_down gradient, or a b/n axis mix-up in the backward's GEMMs,
+        # cannot pass as it could with square or size-1 axes
+        nb, d, n, t = 3, 32, 5, 7
+        assert delta_rank(d) == 2
+        raws = [make_params(80 + k, d, n)[1] for k in range(nb)]
+        x = rng(81).normal(size=(nb, d, t))
+
+        def loss(seq, k=None, key=None, s=None):
+            return T.reduce_mean(T.sigmoid(_s6_core(seq, [
+                S6Params(**{name: (s if (j, name) == (k, key)
+                                   else Tensor(v, dtype=np.float64))
+                            for name, v in raw.items()})
+                for j, raw in enumerate(raws)])))
+
+        errs = {"x": T.grad_check(loss, x)}
+        seq = Tensor(x, dtype=np.float64)
+        for k in range(nb):
+            for key in KEYS:
+                errs[k, key] = T.grad_check(
+                    lambda s: loss(seq, k, key, s), raws[k][key].copy())
+        assert max(errs.values()) < 2e-3, errs
 
     @pytest.mark.parametrize("key", KEYS)
     def test_each_entry_of_a_batched_call(self, key):

@@ -146,7 +146,7 @@ class TestTrainLoop:
         ("lr", float("nan")), ("lr", float("inf")), ("lr", 0.0),
         ("lr", -1e-4), ("weight_decay", float("nan")),
         ("weight_decay", float("inf")), ("weight_decay", -1e-4),
-        ("batch", 0), ("epochs", -1), ("max_steps", 0),
+        ("batch", 0), ("epochs", -1), ("seed", -1), ("max_steps", 0),
         ("grad_clip", float("nan")), ("grad_clip", float("inf")),
         ("grad_clip", 0.0), ("loss_target", float("nan")),
         ("loss_target", float("-inf")),
