@@ -12,8 +12,12 @@ Pipeline for a (C, h, w) low-resolution cube at scale s:
     Y   = X_up + tail(cur)                 # D -> C channels
 
 Odd spatial dims are reflect-padded before each DWT and cropped after the
-matching IWT. Weights live in a flat path -> array dict; the checkpoint
-container is the binary HSRW format (byte-exact roundtrip).
+matching IWT. A NumericError raised inside a block, or by the finiteness
+check on each block's output, names the block path (`enc.1.hfse.0: ...`);
+a non-finite value from a model-level op (conv, DWT, IWT, pad, crop) is
+reported by the next block or by the check on the final output. Weights
+live in a flat path -> array dict; the checkpoint container is the binary
+HSRW format (byte-exact roundtrip).
 """
 
 from __future__ import annotations
@@ -145,12 +149,10 @@ def _pad_to_even(x: Tensor) -> tuple[Tensor, tuple[int, int]]:
 
 def _crop(x: Tensor, dims: tuple[int, int]) -> Tensor:
     h, wd = dims
-    if x.shape[1] == h and x.shape[2] == wd:
+    if x.shape[1:] == (h, wd):
         return x
-    out = T.narrow(x, 1, 0, h)
-    if x.shape[2] != wd:
-        out = T.narrow(out, 2, 0, wd)
-    return out
+    pad = ((0, 0), (0, x.shape[1] - h), (0, x.shape[2] - wd))
+    return T._record_unary(x, x.data[:, :h, :wd].copy(), lambda g: np.pad(g, pad))
 
 
 def _stage(x: Tensor, params, prefix: str, fwd, cfg: ModelConfig) -> Tensor:
@@ -158,7 +160,13 @@ def _stage(x: Tensor, params, prefix: str, fwd, cfg: ModelConfig) -> Tensor:
     four orders, built once for the stage's grid."""
     orders = blocks.four_orders(cfg.scan_kind, cfg.stripe, *x.shape[1:])
     for j in range(cfg.blocks_per_level):
-        x = fwd(x, ParamView(params, f"{prefix}.{j}."), orders)
+        path = f"{prefix}.{j}"
+        try:
+            x = fwd(x, ParamView(params, path + "."), orders)
+        except NumericError as exc:
+            raise NumericError(f"{path}: {exc}") from exc
+        if not np.isfinite(x.data).all():
+            raise NumericError(f"{path}: block produced non-finite values")
     return x
 
 
@@ -180,8 +188,6 @@ def forward(x_lr: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor
     for i in range(1, cfg.levels + 1):
         cur, dims = _pad_to_even(cur)
         pair = dwt_haar(cur)
-        if pair.high.shape[0] != 3 * pair.low.shape[0]:
-            raise ContractViolation("high path must carry 3x the low-path channels")
         h_out = _stage(pair.high, params, f"enc.{i}.hfse", blocks.hfse_forward, cfg)
         highs.append((h_out, dims))
         cur = _stage(pair.low, params, f"enc.{i}.lfse", blocks.lfse_forward, cfg)

@@ -14,15 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractViolation, NumericError
-
-_DEBUG_NAN_CHECKS = False
-
-
-def set_debug_nan_checks(enabled: bool) -> None:
-    """Opt-in check that every forward op output is finite (slower)."""
-    global _DEBUG_NAN_CHECKS
-    _DEBUG_NAN_CHECKS = enabled
+from .errors import ContractViolation
 
 
 class Tensor:
@@ -95,8 +87,6 @@ class Tape:
 
         `backward(g)` returns one gradient per input. An input that is None
         or off the tape gets parent id None, and its gradient is dropped."""
-        if _DEBUG_NAN_CHECKS and not np.all(np.isfinite(out_data)):
-            raise NumericError("non-finite values produced by a forward op")
         nid = len(self.nodes)
         pids = tuple(None if t is None else t.node_id for t in inputs)
         self.nodes.append(_Node(pids, backward))

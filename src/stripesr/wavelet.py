@@ -5,9 +5,10 @@ Per non-overlapping 2x2 block (a b / c d):
     LL = (a+b+c+d)/2   LH = (a-b+c-d)/2
     HL = (a+b-c-d)/2   HH = (a-b-c+d)/2
 
-The 4x4 mixing matrix is symmetric and involutory, so synthesis applies the
-same combination to (LL, LH, HL, HH). High bands are concatenated along the
-channel axis as [LH | HL | HH].
+The 4x4 mixing matrix is symmetric and involutory, so synthesis and both
+backwards are the same mix between one phase split and one join. High bands
+are concatenated along the channel axis as [LH | HL | HH]. The DWT records
+low and high as two ops on its input; the tape sums their gradients.
 """
 
 from __future__ import annotations
@@ -36,31 +37,30 @@ def _haar_mix(a, b, c, d):
     )
 
 
+def _phases(x):
+    """The four strided 2x2 phase views (a, b, c, d) of a (C, H, W) array."""
+    return x[:, 0::2, 0::2], x[:, 0::2, 1::2], x[:, 1::2, 0::2], x[:, 1::2, 1::2]
+
+
+def _join(a, b, c, d):
+    """Interleave four (C, h, w) phases into a fresh (C, 2h, 2w) array."""
+    ch, h, w = a.shape
+    out = np.empty((ch, 2 * h, 2 * w), dtype=a.dtype)
+    for view, phase in zip(_phases(out), (a, b, c, d)):
+        view[...] = phase
+    return out
+
+
 def dwt_haar(x: Tensor) -> WaveletPair:
-    c, h, w = x.shape
+    _, h, w = x.shape
     if h % 2 or w % 2:
         raise ContractViolation(f"dwt_haar requires even dims, got {h}x{w}")
-    xa = x.data[:, 0::2, 0::2]
-    xb = x.data[:, 0::2, 1::2]
-    xc = x.data[:, 1::2, 0::2]
-    xd = x.data[:, 1::2, 1::2]
-    ll, lh, hl, hh = _haar_mix(xa, xb, xc, xd)
-    out = np.concatenate([ll, lh, hl, hh], axis=0)
-
-    def dfn(g):
-        ga, gb, gc, gd = _haar_mix(g[:c], g[c : 2 * c], g[2 * c : 3 * c], g[3 * c :])
-        gx = np.empty_like(x.data, dtype=g.dtype)
-        gx[:, 0::2, 0::2] = ga
-        gx[:, 0::2, 1::2] = gb
-        gx[:, 1::2, 0::2] = gc
-        gx[:, 1::2, 1::2] = gd
-        return gx
-
-    stacked = T._record_unary(x, out, dfn)
-    return WaveletPair(
-        low=T.narrow(stacked, 0, 0, c),
-        high=T.narrow(stacked, 0, c, 3 * c),
-    )
+    ll, lh, hl, hh = _haar_mix(*_phases(x.data))
+    # LL is half the sum of the four phases, so each gets half its gradient
+    low = T._record_unary(x, ll, lambda g: _join(*[g * 0.5] * 4))
+    high = T._record_unary(x, np.concatenate([lh, hl, hh]),
+                           lambda g: _join(*_haar_mix(0.0, *np.split(g, 3))))
+    return WaveletPair(low, high)
 
 
 def iwt_haar(p: WaveletPair) -> Tensor:
@@ -71,22 +71,10 @@ def iwt_haar(p: WaveletPair) -> Tensor:
         )
     if p.high.shape[1:] != p.low.shape[1:]:
         raise ContractViolation("iwt_haar: low/high spatial dims disagree")
-    h2, w2 = p.low.shape[1:]
-    ll = p.low.data
-    lh = p.high.data[:c]
-    hl = p.high.data[c : 2 * c]
-    hh = p.high.data[2 * c :]
-    xa, xb, xc, xd = _haar_mix(ll, lh, hl, hh)
-    out = np.empty((c, 2 * h2, 2 * w2), dtype=ll.dtype)
-    out[:, 0::2, 0::2] = xa
-    out[:, 0::2, 1::2] = xb
-    out[:, 1::2, 0::2] = xc
-    out[:, 1::2, 1::2] = xd
+    out = _join(*_haar_mix(p.low.data, *np.split(p.high.data, 3)))
 
     def backward(g):
-        gll, glh, ghl, ghh = _haar_mix(
-            g[:, 0::2, 0::2], g[:, 0::2, 1::2], g[:, 1::2, 0::2], g[:, 1::2, 1::2]
-        )
-        return gll, np.concatenate([glh, ghl, ghh], axis=0)
+        gll, glh, ghl, ghh = _haar_mix(*_phases(g))
+        return gll, np.concatenate([glh, ghl, ghh])
 
     return T.record(out, (p.low, p.high), backward)

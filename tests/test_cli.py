@@ -244,6 +244,20 @@ class TestNonFiniteInput:
                    "--out", str(tmp_path / "x.hsc")) == 2
         assert "non-finite" in capsys.readouterr().err
 
+    def test_infer_nan_weight_exit_1_names_block(self, gt_path, tmp_path,
+                                                 capsys):
+        # a numeric failure inside the model exits 1 and names the block
+        ckpt = str(tmp_path / "m.hsrw")
+        out = tmp_path / "x.hsc"
+        weights = init_weights(ModelConfig(bands=4, scale=2, hidden=8,
+                                           levels=1, state=4))
+        weights.params["enc.1.hfse.0.head.w"][:] = np.nan
+        save_checkpoint(weights, ckpt)
+        assert run("infer", "--in", gt_path, "--ckpt", ckpt,
+                   "--out", str(out)) == 1
+        assert "error: enc.1.hfse.0: s6 scan" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("cmd", ["eval", "infer"])
     def test_infinite_value_range_exit_2(self, gt_path, tmp_path, capsys,
                                          cmd):

@@ -13,7 +13,7 @@ import pytest
 from conftest import ABSURD_SHAPES, absurd_shape_checkpoint, rng
 from stripesr import blocks, ops
 from stripesr import tensor as T
-from stripesr.errors import ContractViolation, FormatError
+from stripesr.errors import ContractViolation, FormatError, NumericError
 from stripesr.model import (
     ModelConfig,
     ModelWeights,
@@ -179,6 +179,40 @@ class TestForward:
             return T.reduce_mean(T.sigmoid(forward(x, params, cfg)))
 
         assert T.grad_check(f, raw[key].copy(), eps=1e-4) < 2e-3
+
+    @pytest.mark.parametrize("key", ["global.head.b", "dec.2.hlfd.0.fuse.b"])
+    def test_odd_dims_gradient_through_pad_and_crop(self, key):
+        # a 5x3 input at scale 2 is 10x6; its level-1 band, 5x3, is padded to
+        # 6x4 before the second DWT and cropped on both axes after its IWT
+        cfg = ModelConfig(bands=4, scale=2, hidden=8, levels=2, stripe=4,
+                          state=2, seed=0)
+        raw = {k: v.astype(np.float64)
+               for k, v in init_weights(cfg).params.items()}
+        x = Tensor(rng(6).random((4, 5, 3)), dtype=np.float64)
+
+        def f(t):
+            params = {k: (t if k == key else Tensor(v, dtype=np.float64))
+                      for k, v in raw.items()}
+            return T.reduce_mean(T.sigmoid(forward(x, params, cfg)))
+
+        assert T.grad_check(f, raw[key].copy(), eps=1e-4) < 2e-3
+
+    @pytest.mark.parametrize("key,message", [
+        # the NaN reaches this block's own S6, which names token and entry
+        ("enc.1.hfse.0.head.w",
+         "enc.1.hfse.0: s6 scan produced non-finite values at token 0 "
+         "of batch entry 0"),
+        # the NaN leaves enc.0.lfse.0 through its tail conv, before any S6
+        # sees it; the output check blames this block, not enc.1.hfse.0
+        ("enc.0.lfse.0.tail.w", "enc.0.lfse.0: block produced non-finite"),
+    ], ids=["in-block-s6", "block-output"])
+    def test_non_finite_value_names_block_path(self, key, message):
+        w = init_weights(MICRO)
+        w.params[key][:] = np.nan
+        x = rng(7).random((4, 8, 8)).astype(np.float32)
+        with pytest.raises(NumericError) as err:
+            infer(x, w)
+        assert str(err.value).startswith(message)
 
 
 class TestFlops:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import matmul_oracle, rel_err, rng
 from stripesr import ops, tensor as T
-from stripesr.errors import ContractViolation, NumericError
+from stripesr.errors import ContractViolation
 from stripesr.tensor import Tape, Tensor
 
 
@@ -284,25 +284,6 @@ class TestGradCheckHarness:
             out = T._record_unary(t, t.data.copy(), dfn)
             return T.reduce_mean(out)
         assert T.grad_check(bad, rng(19).normal(size=(3,))) > 1e-2
-
-
-class TestDebugNanChecks:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflow_detected_when_enabled(self):
-        T.set_debug_nan_checks(True)
-        try:
-            tape = Tape()
-            x = tape.leaf(np.array([1e308], dtype=np.float64))
-            with pytest.raises(NumericError):
-                T.scale(x, 10.0)  # overflows to inf, which the check rejects
-        finally:
-            T.set_debug_nan_checks(False)
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_disabled_by_default(self):
-        tape = Tape()
-        x = tape.leaf(np.array([1e308], dtype=np.float64))
-        assert np.isinf(T.scale(x, 10.0).data).all()
 
 
 @settings(max_examples=30, deadline=None)
