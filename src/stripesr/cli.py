@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 numeric failure, 2 usage or format failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -34,6 +35,9 @@ def _non_negative_int(value):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # model and training defaults are declared once, on their config classes
+    mdef = {f.name: f.default for f in dataclasses.fields(mdl.ModelConfig)}
+    tdef = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
     parser = argparse.ArgumentParser(
         prog="stripesr",
         description="Stripe-scan state-space super-resolution toolkit",
@@ -63,22 +67,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_positive_int, default=200,
                    help="optimizer steps (default: 200)")
     p.add_argument("--ckpt", required=True, help="output checkpoint (HSRW)")
-    p.add_argument("--hidden", type=_positive_int, default=64,
-                   help="hidden channels D (default: 64)")
-    p.add_argument("--levels", type=_positive_int, default=2,
-                   help="wavelet U-Net depth K (default: 2)")
-    p.add_argument("--stripe", type=_positive_int, default=4,
-                   help="stripe length / window size (default: 4)")
-    p.add_argument("--state", type=_positive_int, default=16,
-                   help="S6 state dim N (default: 16)")
-    p.add_argument("--scan", choices=KINDS, default="stripe",
-                   help="scan order kind (default: stripe)")
-    p.add_argument("--seed", type=_non_negative_int, default=0,
-                   help="RNG seed (default: 0)")
-    p.add_argument("--lr", type=float, default=1e-4,
-                   help="learning rate (default: 1e-4)")
-    p.add_argument("--batch", type=_positive_int, default=8,
-                   help="batch size (default: 8)")
+    p.add_argument("--hidden", type=_positive_int, default=mdef["hidden"],
+                   help="hidden channels D (default: %(default)s)")
+    p.add_argument("--levels", type=_positive_int, default=mdef["levels"],
+                   help="wavelet U-Net depth K (default: %(default)s)")
+    p.add_argument("--stripe", type=_positive_int, default=mdef["stripe"],
+                   help="stripe length / window size (default: %(default)s)")
+    p.add_argument("--state", type=_positive_int, default=mdef["state"],
+                   help="S6 state dim N (default: %(default)s)")
+    p.add_argument("--scan", choices=KINDS, default=mdef["scan_kind"],
+                   help="scan order kind (default: %(default)s)")
+    p.add_argument("--seed", type=_non_negative_int, default=mdef["seed"],
+                   help="RNG seed (default: %(default)s)")
+    p.add_argument("--lr", type=float, default=tdef["lr"],
+                   help="learning rate (default: %(default)s)")
+    p.add_argument("--batch", type=_positive_int, default=tdef["batch"],
+                   help="batch size (default: %(default)s)")
     p.add_argument("--patch", type=_positive_int, default=None,
                    help="GT patch size (default: 64, or 128 at scale 8)")
     p.add_argument("--patches", type=_positive_int, default=32,
@@ -105,10 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan-viz", help="dump a scan order as text and image")
     p.add_argument("--height", type=_positive_int, required=True)
     p.add_argument("--width", type=_positive_int, required=True)
-    p.add_argument("--stripe", type=_positive_int, default=4,
-                   help="stripe length / window size (default: 4)")
-    p.add_argument("--kind", choices=KINDS, default="stripe",
-                   help="scan kind (default: stripe)")
+    p.add_argument("--stripe", type=_positive_int, default=mdef["stripe"],
+                   help="stripe length / window size (default: %(default)s)")
+    p.add_argument("--kind", choices=KINDS, default=mdef["scan_kind"],
+                   help="scan kind (default: %(default)s)")
     p.add_argument("--direction", type=int, choices=(0, 1, 2, 3), default=0,
                    help="directional variant (default: 0)")
     p.add_argument("--out", required=True,

@@ -54,7 +54,6 @@ class ModelConfig:
     stripe: int = 4  # stripe length / window size
     state: int = 16  # S6 state dimension N
     scan_kind: str = "stripe"
-    blocks_per_level: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -62,8 +61,8 @@ class ModelConfig:
             raise ContractViolation(f"scale must be one of {SCALES}")
         if self.bands < 1 or self.hidden < 1:
             raise ContractViolation("bands and hidden must be positive")
-        if self.levels < 1 or self.stripe < 1 or self.blocks_per_level < 1:
-            raise ContractViolation("levels, stripe and blocks_per_level must be >= 1")
+        if self.levels < 1 or self.stripe < 1:
+            raise ContractViolation("levels and stripe must be >= 1")
         if self.scan_kind not in KINDS:
             raise ContractViolation(f"unknown scan kind {self.scan_kind!r}")
         if self.seed < 0:
@@ -83,21 +82,18 @@ class ModelWeights:
 
 def param_specs(cfg: ModelConfig):
     """Ordered (path, shape, init-kind) triples for the whole model."""
-    d, n, k_lv, reps = cfg.hidden, cfg.state, cfg.levels, cfg.blocks_per_level
+    d, n, k_lv = cfg.hidden, cfg.state, cfg.levels
     specs = []
     specs += blocks._conv_specs("global.head", cfg.bands, d, 3)
     for i in range(k_lv + 1):
-        for j in range(reps):
-            for path, shape, kind in blocks.lfse_specs(d, n):
-                specs.append((f"enc.{i}.lfse.{j}.{path}", shape, kind))
+        for path, shape, kind in blocks.lfse_specs(d, n):
+            specs.append((f"enc.{i}.lfse.0.{path}", shape, kind))
         if i >= 1:
-            for j in range(reps):
-                for path, shape, kind in blocks.hfse_specs(3 * d, n):
-                    specs.append((f"enc.{i}.hfse.{j}.{path}", shape, kind))
+            for path, shape, kind in blocks.hfse_specs(3 * d, n):
+                specs.append((f"enc.{i}.hfse.0.{path}", shape, kind))
     for i in range(k_lv, 0, -1):
-        for j in range(reps):
-            for path, shape, kind in blocks.hlfd_specs(d, n):
-                specs.append((f"dec.{i}.hlfd.{j}.{path}", shape, kind))
+        for path, shape, kind in blocks.hlfd_specs(d, n):
+            specs.append((f"dec.{i}.hlfd.0.{path}", shape, kind))
     specs += blocks._conv_specs("global.tail", d, cfg.bands, 3)
     return specs
 
@@ -155,18 +151,16 @@ def _crop(x: Tensor, dims: tuple[int, int]) -> Tensor:
     return T._record_unary(x, x.data[:, :h, :wd].copy(), lambda g: np.pad(g, pad))
 
 
-def _stage(x: Tensor, params, prefix: str, fwd, cfg: ModelConfig) -> Tensor:
-    """`cfg.blocks_per_level` blocks of `fwd`, all scanning along the same
-    four orders, built once for the stage's grid."""
+def _stage(x: Tensor, params, path: str, fwd, cfg: ModelConfig) -> Tensor:
+    """The stage's one block `fwd` at `path` (`enc.1.hfse.0`: paths keep the
+    `.0` that checkpoint names use), scanning along its grid's four orders."""
     orders = blocks.four_orders(cfg.scan_kind, cfg.stripe, *x.shape[1:])
-    for j in range(cfg.blocks_per_level):
-        path = f"{prefix}.{j}"
-        try:
-            x = fwd(x, ParamView(params, path + "."), orders)
-        except NumericError as exc:
-            raise NumericError(f"{path}: {exc}") from exc
-        if not np.isfinite(x.data).all():
-            raise NumericError(f"{path}: block produced non-finite values")
+    try:
+        x = fwd(x, ParamView(params, path + "."), orders)
+    except NumericError as exc:
+        raise NumericError(f"{path}: {exc}") from exc
+    if not np.isfinite(x.data).all():
+        raise NumericError(f"{path}: block produced non-finite values")
     return x
 
 
@@ -182,20 +176,20 @@ def forward(x_lr: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor
     x_up = ops.bicubic_resize(x_lr, cfg.scale)
     pv = ParamView(params)
     cur = ops.conv2d(x_up, pv["global.head.w"], pv["global.head.b"])
-    cur = _stage(cur, params, "enc.0.lfse", blocks.lfse_forward, cfg)
+    cur = _stage(cur, params, "enc.0.lfse.0", blocks.lfse_forward, cfg)
 
     highs = []
     for i in range(1, cfg.levels + 1):
         cur, dims = _pad_to_even(cur)
         pair = dwt_haar(cur)
-        h_out = _stage(pair.high, params, f"enc.{i}.hfse", blocks.hfse_forward, cfg)
+        h_out = _stage(pair.high, params, f"enc.{i}.hfse.0", blocks.hfse_forward, cfg)
         highs.append((h_out, dims))
-        cur = _stage(pair.low, params, f"enc.{i}.lfse", blocks.lfse_forward, cfg)
+        cur = _stage(pair.low, params, f"enc.{i}.lfse.0", blocks.lfse_forward, cfg)
 
     for i in range(cfg.levels, 0, -1):
         h_out, dims = highs[i - 1]
         y = _crop(iwt_haar(WaveletPair(low=cur, high=h_out)), dims)
-        cur = _stage(y, params, f"dec.{i}.hlfd", blocks.hlfd_forward, cfg)
+        cur = _stage(y, params, f"dec.{i}.hlfd.0", blocks.hlfd_forward, cfg)
 
     residual = ops.conv2d(cur, pv["global.tail.w"], pv["global.tail.b"])
     out = T.add(x_up, residual)
@@ -280,6 +274,11 @@ def _parse_config(raw: bytes) -> ModelConfig:
         raise FormatError(f"checkpoint config is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise FormatError("checkpoint config must be a JSON object")
+    # files written while ModelConfig had this field all store it as 1
+    retired = obj.pop("blocks_per_level", 1)
+    if type(retired) is not int or retired != 1:
+        raise FormatError(
+            f"checkpoint config 'blocks_per_level' must be 1, got {retired!r}")
     hints = typing.get_type_hints(ModelConfig)
     for key, value in obj.items():
         if key not in hints:
@@ -290,7 +289,7 @@ def _parse_config(raw: bytes) -> ModelConfig:
             )
     try:
         return ModelConfig(**obj)
-    except TypeError as exc:  # a required key is missing
+    except (TypeError, ContractViolation) as exc:  # a missing key, a bad value
         raise FormatError(f"checkpoint config: {exc}") from None
 
 

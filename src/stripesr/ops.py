@@ -107,16 +107,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, dilation: int = 1) -> Tensor:
     return T.record(out, (x, w, b), backward)
 
 
-def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the channel axis at every spatial position."""
-    if eps <= 0:
-        raise ContractViolation("layernorm: eps must be positive")
+def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize over the channel axis at every spatial position (eps 1e-5)."""
     c = x.shape[0]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ContractViolation("layernorm: affine params must have shape (C,)")
     mu = x.data.mean(axis=0)
     var = x.data.var(axis=0)
-    invstd = 1.0 / np.sqrt(var + eps)
+    invstd = 1.0 / np.sqrt(var + 1e-5)
     xhat = (x.data - mu) * invstd
     out = gamma.data[:, None, None] * xhat + beta.data[:, None, None]
 
@@ -144,8 +142,9 @@ def channel_attention(x: Tensor, w1: Tensor, w2: Tensor, b1: Tensor,
     return T.mul(x, T.reshape(T.sigmoid(gate), (c, 1, 1)))
 
 
-def ca_bottleneck(c: int, reduction: int = 4) -> int:
-    return max(c // reduction, 1)
+def ca_bottleneck(c: int) -> int:
+    """Channel attention's bottleneck width: C/4, at least 1."""
+    return max(c // 4, 1)
 
 
 def _keys_weights(n_in: int, n_out: int, scale: float, dtype) -> np.ndarray:
@@ -178,20 +177,20 @@ def bicubic_resize(x: Tensor, scale: float) -> Tensor:
             f"bicubic_resize: scale {scale} gives non-integral dims for {h}x{w}"
         )
     ho, wo = int(round(ho)), int(round(wo))
-    if scale == 1.0:
-        return Tensor(x.data.copy())
     wr = _keys_weights(h, ho, scale, x.dtype)
     wc = _keys_weights(w, wo, scale, x.dtype)
     out = np.einsum("oh,chw,pw->cop", wr, x.data, wc, optimize=True)
     return Tensor(np.ascontiguousarray(out, dtype=x.dtype))
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class OptState:
+    """AdamW state of one run. Only `lr` and `weight_decay` are set per run;
+    the moment decays and eps are the `ADAM_*` constants."""
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 1e-4
     step: int = 0
     m: dict = field(default_factory=dict)
@@ -204,8 +203,8 @@ def adamw_step(params: dict, grads: dict, state: OptState) -> None:
         raise ContractViolation(f"adamw_step: lr must be finite and > 0, got {state.lr}")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
@@ -216,11 +215,11 @@ def adamw_step(params: dict, grads: dict, state: OptState) -> None:
             state.m[name] = m
             state.v[name] = np.zeros_like(p)
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         p -= state.lr * (update + state.weight_decay * p)
 
 

@@ -32,7 +32,6 @@ class TrainConfig:
     weight_decay: float = 1e-4
     max_steps: int | None = None
     loss_target: float | None = None  # absolute early-stop threshold
-    grad_clip: float | None = None  # max global grad norm, off by default
 
     def __post_init__(self):
         # reject bad settings before any patch is sampled or step is run
@@ -45,9 +44,6 @@ class TrainConfig:
             ("seed must be >= 0", self.seed >= 0),
             ("max_steps must be None or >= 1",
              self.max_steps is None or self.max_steps >= 1),
-            ("grad_clip must be None or finite and > 0",
-             self.grad_clip is None
-             or (math.isfinite(self.grad_clip) and self.grad_clip > 0)),
             ("loss_target must be None or finite",
              self.loss_target is None or math.isfinite(self.loss_target)),
         )
@@ -85,10 +81,6 @@ def sample_patches(cube_pairs, cfg: TrainConfig, mcfg: ModelConfig,
         lr = lr_cube[:, oy // s : (oy + patch) // s, ox // s : (ox + patch) // s]
         out.append((lr, gt))
     return out
-
-
-def _grad_norm(grads) -> float:
-    return math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
 
 
 def train(dataset, cfg: TrainConfig, mcfg: ModelConfig,
@@ -131,11 +123,6 @@ def train(dataset, cfg: TrainConfig, mcfg: ModelConfig,
                 raise NumericError(f"non-finite loss at step {step}")
             tape.backward(loss)
             grads = {k: tape.grad(t) for k, t in params.items()}
-            if cfg.grad_clip is not None:
-                norm = _grad_norm(grads)
-                if norm > cfg.grad_clip:
-                    fac = cfg.grad_clip / norm
-                    grads = {k: g * fac for k, g in grads.items()}
             ops.adamw_step(weights.params, grads, state)
             curve.append(loss_val)
             step += 1

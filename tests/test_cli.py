@@ -163,6 +163,26 @@ class TestTrainInferEval:
         assert "lr must be finite" in capsys.readouterr().err
         assert not ckpt.exists()
 
+    def test_train_defaults_are_the_config_defaults(self, tmp_path,
+                                                    monkeypatch):
+        # the benchmark's infer-cli workload builds ModelConfig(bands, scale)
+        # as the model `train` makes when given only the required flags
+        seen = {}
+
+        def fake_train(dataset, tcfg, mcfg, on_step=None):
+            seen.update(tcfg=tcfg, mcfg=mcfg)
+            return init_weights(mcfg), [0.0]
+
+        monkeypatch.setattr(cli, "run_train", fake_train)
+        gt = str(tmp_path / "gt.hsc")
+        assert run("synth", "--bands", "4", "--size", "64", "--out", gt) == 0
+        assert run("train", "--gt", gt, "--scale", "2",
+                   "--ckpt", str(tmp_path / "m.hsrw")) == 0
+        assert seen["mcfg"] == ModelConfig(bands=4, scale=2)
+        defaults = train_module.TrainConfig()
+        assert seen["tcfg"].lr == defaults.lr
+        assert seen["tcfg"].batch == defaults.batch
+
     def test_eval_sam_map_is_p6(self, gt_path, tmp_path):
         out = str(tmp_path / "map.ppm")
         assert run("eval", "--pred", gt_path, "--gt", gt_path,

@@ -368,11 +368,20 @@ class TestCheckpoint:
         (json.dumps({**asdict(MICRO), "hidden": 16.0}).encode(), None, b""),
         (json.dumps({**asdict(MICRO), "levels": True}).encode(), None, b""),
         (json.dumps({"scale": 2}).encode(), None, b""),
+        (json.dumps({**asdict(MICRO), "scale": 3}).encode(), None, b""),
+        (json.dumps({**asdict(MICRO), "hidden": 0}).encode(), None, b""),
+        (json.dumps({**asdict(MICRO), "scan_kind": "zigzag"}).encode(), None,
+         b""),
+        (json.dumps({**asdict(MICRO), "blocks_per_level": 2}).encode(), None,
+         b""),
+        (json.dumps({**asdict(MICRO), "blocks_per_level": True}).encode(),
+         None, b""),
         (None, b"\xff\xfe", b""),
         (None, None, b"\0"),
     ], ids=["bad-json", "bad-utf8", "not-object", "unknown-key",
             "str-for-int", "float-for-int", "bool-for-int", "missing-key",
-            "bad-utf8-name", "trailing-bytes"])
+            "scale-3", "hidden-0", "unknown-kind", "retired-key-2",
+            "retired-key-true", "bad-utf8-name", "trailing-bytes"])
     def test_malformed_config_or_name_rejected(self, tmp_path, config, name,
                                                tail):
         src = str(tmp_path / "m.hsrw")
@@ -389,5 +398,25 @@ class TestCheckpoint:
             fh.write(head + body + tail)
         with pytest.raises(FormatError) as err:
             load_checkpoint(bad)
+        if config is not None:
+            assert "checkpoint config" in str(err.value)
         if tail:
             assert f"byte {len(blob)}" in str(err.value)
+
+    def test_config_with_retired_blocks_per_level_loads(self, tmp_path):
+        # every file written while ModelConfig had this field stores it as 1
+        src = str(tmp_path / "m.hsrw")
+        w = init_weights(MICRO)
+        save_checkpoint(w, src)
+        blob = open(src, "rb").read()
+        cfg_len = struct.unpack_from("<I", blob, 8)[0]
+        config = json.dumps({**asdict(MICRO), "blocks_per_level": 1},
+                            sort_keys=True).encode()
+        old = str(tmp_path / "old.hsrw")
+        with open(old, "wb") as fh:
+            fh.write(blob[:8] + struct.pack("<I", len(config)) + config
+                     + blob[12 + cfg_len:])
+        loaded = load_checkpoint(old)
+        assert loaded.config == MICRO
+        assert all(np.array_equal(w.params[k], loaded.params[k])
+                   for k in w.params)

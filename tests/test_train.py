@@ -147,9 +147,7 @@ class TestTrainLoop:
         ("lr", -1e-4), ("weight_decay", float("nan")),
         ("weight_decay", float("inf")), ("weight_decay", -1e-4),
         ("batch", 0), ("epochs", -1), ("seed", -1), ("max_steps", 0),
-        ("grad_clip", float("nan")), ("grad_clip", float("inf")),
-        ("grad_clip", 0.0), ("loss_target", float("nan")),
-        ("loss_target", float("-inf")),
+        ("loss_target", float("nan")), ("loss_target", float("-inf")),
     ])
     def test_bad_setting_rejected_on_construction(self, field, value):
         with pytest.raises(ContractViolation, match=f"TrainConfig: {field} must"):
@@ -184,15 +182,6 @@ class TestTrainLoop:
         train(micro_dataset(), cfg, MICRO,
               on_step=lambda step, loss, w: calls.append((step, loss)))
         assert [c[0] for c in calls] == [1, 2]
-
-    def test_grad_clip_changes_trajectory(self):
-        cfg_a = TrainConfig(batch=1, epochs=2, gt_patch=16, lr=1e-2)
-        cfg_b = TrainConfig(batch=1, epochs=2, gt_patch=16, lr=1e-2,
-                            grad_clip=1e-6)
-        _, ca = train(micro_dataset(), cfg_a, MICRO)
-        _, cb = train(micro_dataset(), cfg_b, MICRO)
-        assert ca[0] == cb[0]  # first loss is pre-update
-        assert ca[1] != cb[1]
 
 
 class TestLossCsv:
