@@ -123,21 +123,33 @@ def vssm_forward(x: Tensor, pv: ParamView, orders: list[ScanOrder]) -> Tensor:
 
 # ---------------------------------------------------------------- soft gate
 
+def _gate_pair(alpha):
+    """w1 = e^a / (e^a + e^(1-a)) = logistic(2a - 1) and w2 = 1 - w1."""
+    z = 2.0 * alpha - 1.0
+    return T.logistic(z), T.logistic(-z)
+
+
 def soft_gate(x1: Tensor, x21: Tensor, x22: Tensor, alpha: Tensor) -> Tensor:
-    """Convex fusion of two gated products:
-    w1 = e^a / (e^a + e^(1-a)) = logistic(2a - 1), w2 = 1 - w1."""
-    if x1.shape != x21.shape or x1.shape != x22.shape:
-        raise ContractViolation("soft_gate: inputs must share a shape")
-    z = T.add(T.scale(alpha, 2.0), Tensor([-1.0], dtype=alpha.dtype))
-    w1 = T.reshape(T.sigmoid(z), (1, 1, 1))
-    w2 = T.reshape(T.sigmoid(T.neg(z)), (1, 1, 1))
-    return T.add(T.mul(w1, T.mul(x21, x1)), T.mul(w2, T.mul(x22, x1)))
+    """Convex fusion of two gated products, w1 * x21 * x1 + w2 * x22 * x1,
+    recorded as one op. Since dw1/da = 2 * w1 * w2 = -dw2/da, alpha's
+    gradient is 2 * w1 * w2 * sum(g * (x21 * x1 - x22 * x1))."""
+    if x1.shape != x21.shape or x1.shape != x22.shape or alpha.shape != (1,):
+        raise ContractViolation(
+            "soft_gate: x1, x21 and x22 must share a shape, and alpha must be (1,)")
+    w1, w2 = _gate_pair(alpha.data)
+    out = w1 * (x21.data * x1.data) + w2 * (x22.data * x1.data)
+
+    def backward(g):
+        a, b, c = x1.data, x21.data, x22.data
+        return (g * (w1 * b + w2 * c), g * w1 * a, g * w2 * a,
+                2.0 * w1 * w2 * (g * (b * a - c * a)).sum())
+
+    return T.record(out, (x1, x21, x22, alpha), backward)
 
 
 def gate_weights(alpha: float) -> tuple[float, float]:
     """Scalar (w1, w2) for a given alpha, same math as soft_gate."""
-    z = 2.0 * alpha - 1.0
-    return float(T.logistic(z)), float(T.logistic(-z))
+    return tuple(float(w) for w in _gate_pair(alpha))
 
 
 # ---------------------------------------------------------------- LFSE
@@ -203,8 +215,6 @@ def hfse_forward(x: Tensor, pv: ParamView, orders: list[ScanOrder]) -> Tensor:
 
 def hlfd_specs(c: int, n: int):
     inner = inner_channels(c)
-    if inner % 2:
-        raise ContractViolation(f"hlfd: post-head channel count {inner} must be even")
     half = inner // 2
     specs = []
     specs += _conv_specs("head", c, inner, 3)

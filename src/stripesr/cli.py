@@ -136,12 +136,12 @@ def _cmd_degrade(args) -> int:
 
 def _cmd_train(args) -> int:
     gt = hsd.read_hsc(args.gt)
-    lr_cube = hsd.degrade(gt, args.scale)
     mcfg = mdl.ModelConfig(
         bands=gt.bands, scale=args.scale, hidden=args.hidden,
         levels=args.levels, stripe=args.stripe, state=args.state,
         scan_kind=args.scan, seed=args.seed,
     )
+    lr_cube = hsd.degrade(gt, args.scale)
     tcfg = TrainConfig(
         lr=args.lr, batch=args.batch, epochs=10**9, gt_patch=args.patch,
         seed=args.seed, max_steps=args.steps,

@@ -61,8 +61,11 @@ class ModelConfig:
             raise ContractViolation(f"scale must be one of {SCALES}")
         if self.bands < 1 or self.hidden < 1:
             raise ContractViolation("bands and hidden must be positive")
-        if self.levels < 1 or self.stripe < 1:
-            raise ContractViolation("levels and stripe must be >= 1")
+        if self.levels < 1 or self.stripe < 1 or self.state < 1:
+            raise ContractViolation("levels, stripe and state must be >= 1")
+        if blocks.inner_channels(self.hidden) % 2:  # HLFD halves its channels
+            raise ContractViolation(
+                f"hidden {self.hidden} gives HLFD an odd channel count")
         if self.scan_kind not in KINDS:
             raise ContractViolation(f"unknown scan kind {self.scan_kind!r}")
         if self.seed < 0:

@@ -3,8 +3,8 @@
 Convolution (grouped / dilated, stride 1, reflect "same" padding, one GEMM
 per kernel tap), channel layer norm, squeeze-excite channel attention, Keys
 bicubic resampling, AdamW and the L1 objective. Images are (C, H, W).
-Taped ops hand all their inputs to `tensor.record`, and their backward
-closures return one gradient per input; the tape decides which it keeps.
+Each taped op is one `tensor.record` over all its inputs; its backward
+closure returns one gradient per input, and the tape decides which it keeps.
 """
 
 from __future__ import annotations
@@ -130,16 +130,28 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 def channel_attention(x: Tensor, w1: Tensor, w2: Tensor, b1: Tensor,
                       b2: Tensor) -> Tensor:
-    """Squeeze-excite: pool -> C/r bottleneck -> ReLU -> C -> sigmoid -> rescale."""
-    c = x.shape[0]
-    if w1.shape[1] != c or w2.shape[0] != c or w2.shape[1] != w1.shape[0]:
+    """Squeeze-excite: pool -> C/r bottleneck -> ReLU -> C -> sigmoid -> rescale,
+    one op; x's gradient is g * gate plus the pooled path spread over H*W."""
+    c, h, wd = x.shape
+    r = w1.shape[0]
+    if (w1.shape, w2.shape, b1.shape, b2.shape) != ((r, c), (c, r), (r,), (c,)):
         raise ContractViolation(
-            f"channel_attention: weight shapes {w1.shape}/{w2.shape} do not fit C={c}"
-        )
-    pooled = T.reshape(T.reduce_mean(x, axes=(1, 2)), (c, 1))
-    hidden = T.relu(T.add(T.matmul(w1, pooled), T.reshape(b1, (w1.shape[0], 1))))
-    gate = T.add(T.matmul(w2, hidden), T.reshape(b2, (c, 1)))
-    return T.mul(x, T.reshape(T.sigmoid(gate), (c, 1, 1)))
+            f"channel_attention: shapes {w1.shape}/{w2.shape}/{b1.shape}/{b2.shape}"
+            f" do not fit C={c}")
+    pooled = x.data.mean(axis=(1, 2)).reshape(c, 1)
+    pre = w1.data @ pooled + b1.data.reshape(r, 1)
+    hidden = np.where(pre > 0, pre, 0.0)
+    gate = T.logistic(w2.data @ hidden + b2.data.reshape(c, 1))
+    out = x.data * gate.reshape(c, 1, 1)
+
+    def backward(g):
+        g_gate = (g * x.data).sum(axis=(1, 2)).reshape(c, 1) * gate * (1.0 - gate)
+        g_pre = (w2.data.T @ g_gate) * (pre > 0)
+        gx = g * gate.reshape(c, 1, 1) + (w1.data.T @ g_pre).reshape(c, 1, 1) / (h * wd)
+        return (gx, g_pre @ pooled.T, g_gate @ hidden.T, g_pre.reshape(r),
+                g_gate.reshape(c))
+
+    return T.record(out, (x, w1, w2, b1, b2), backward)
 
 
 def ca_bottleneck(c: int) -> int:

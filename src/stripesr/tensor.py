@@ -6,8 +6,8 @@ closure to `record`. When no input is attached to a tape the result is a
 plain Tensor. Otherwise the tape records every input; inputs that are None
 or off the tape get no parent id. The closure returns one gradient per
 input, and backward walks the tape in reverse, accumulating the gradients of
-inputs that have a parent id and dropping the rest. Only trailing-dimension
-(numpy) broadcasting is supported.
+inputs that have a parent id and dropping the rest. The operands of `add`
+and `mul` must share a shape: nothing on the tape broadcasts.
 """
 
 from __future__ import annotations
@@ -174,49 +174,23 @@ def softplus(x, out=None, scratch=None):
     return out
 
 
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Sum a broadcast gradient back down to `shape`."""
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, d in enumerate(shape) if d == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
-
-
 def _record_unary(a, out, dfn):
     return record(out, (a,), lambda g: (dfn(g),))
 
 
-def _record_binary(a, b, out, dfa, dfb):
-    return record(out, (a, b), lambda g: (_unbroadcast(dfa(g), a.shape),
-                                          _unbroadcast(dfb(g), b.shape)))
-
-
-def _check_broadcast(a: Tensor, b: Tensor, op: str):
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ContractViolation(
-            f"{op}: shapes {a.shape} and {b.shape} are not broadcast-compatible"
-        ) from None
+def _check_same_shape(a: Tensor, b: Tensor, op: str):
+    if a.shape != b.shape:
+        raise ContractViolation(f"{op}: shapes {a.shape} and {b.shape} differ")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "add")
-    return _record_binary(a, b, a.data + b.data, lambda g: g, lambda g: g)
+    _check_same_shape(a, b, "add")
+    return record(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "mul")
-    return _record_binary(
-        a, b, a.data * b.data, lambda g: g * b.data, lambda g: g * a.data
-    )
-
-
-def neg(a: Tensor) -> Tensor:
-    return _record_unary(a, -a.data, lambda g: -g)
+    _check_same_shape(a, b, "mul")
+    return record(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -233,24 +207,6 @@ def silu(a: Tensor) -> Tensor:
     s = logistic(a.data)
     out = a.data * s
     return _record_unary(a, out, lambda g: g * (s + out * (1.0 - s)))
-
-
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    return _record_unary(a, np.where(mask, a.data, 0.0), lambda g: g * mask)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ContractViolation("matmul expects 2-D operands")
-    if a.shape[1] != b.shape[0]:
-        raise ContractViolation(
-            f"matmul: inner dims disagree ({a.shape} x {b.shape})"
-        )
-    out = a.data @ b.data
-    return _record_binary(
-        a, b, out, lambda g: g @ b.data.T, lambda g: a.data.T @ g
-    )
 
 
 def _normalize_axes(axes, ndim):
@@ -274,12 +230,6 @@ def reduce_mean(a: Tensor, axes=None) -> Tensor:
         return (np.broadcast_to(ge, a.shape) / count).astype(a.dtype, copy=False)
 
     return _record_unary(a, out, dfn)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-    out = a.data.reshape(shape)
-    return _record_unary(a, out, lambda g: g.reshape(a.shape))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:

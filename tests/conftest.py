@@ -45,6 +45,20 @@ def absurd_shape_checkpoint(shape) -> bytes:
 ABSURD_SHAPES = [(2**31, 2**31), (2**31, 2**31, 2**31)]
 
 
+def checkpoint_bytes(config: dict, params: dict) -> bytes:
+    """HSRW bytes for a config dict and name -> array params, written field
+    by field, so the config may be one that ModelConfig rejects."""
+    cfg = json.dumps(config).encode()
+    out = [b"HSRW", struct.pack("<II", 1, len(cfg)), cfg,
+           struct.pack("<I", len(params))]
+    for name, arr in params.items():
+        nb = name.encode()
+        out += [struct.pack("<I", len(nb)), nb,
+                struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape),
+                arr.astype("<f4").tobytes()]
+    return b"".join(out)
+
+
 def as_leaves(raw, tape):
     return {k: tape.leaf(v) for k, v in raw.items()}
 
@@ -56,17 +70,6 @@ def check_scalar_fn(f, x, eps=1e-5):
     hand in plain Tensors).
     """
     return T.grad_check(f, x, eps)
-
-
-def matmul_oracle(a, b):
-    m, k = a.shape
-    k2, n = b.shape
-    out = np.zeros((m, n), dtype=np.float64)
-    for i in range(m):
-        for j in range(n):
-            for p in range(k):
-                out[i, j] += a[i, p] * b[p, j]
-    return out
 
 
 def conv2d_oracle(x, w, b, kernel, stride=1, dilation=1, groups=1,

@@ -103,6 +103,18 @@ class TestGateAlgebra:
         assert abs(tape.grad(a)[0]) > 1e-6
         assert T.grad_check(f, np.array([0.3])) < 2e-3
 
+    @pytest.mark.parametrize("name", ["x1", "x21", "x22", "alpha"])
+    def test_soft_gate_grad_check_every_input(self, name):
+        g = rng(3)
+        raw = {k: g.normal(size=(2, 3, 4)) for k in ("x1", "x21", "x22")}
+        raw["alpha"] = np.array([0.3])
+
+        def f(t):
+            args = {k: t if k == name else _t64(v) for k, v in raw.items()}
+            return T.reduce_mean(T.sigmoid(soft_gate(**args)))
+
+        assert T.grad_check(f, raw[name]) < 1e-6
+
     def test_soft_gate_shape_mismatch(self):
         with pytest.raises(ContractViolation):
             soft_gate(_t64(np.ones((2, 2, 2))), _t64(np.ones((2, 2, 2))),

@@ -4,11 +4,12 @@ import importlib
 import os
 import stat
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from conftest import ABSURD_SHAPES, absurd_shape_checkpoint
+from conftest import ABSURD_SHAPES, absurd_shape_checkpoint, checkpoint_bytes
 from stripesr import cli
 from stripesr.data import read_hsc, synth_cube, write_hsc
 from stripesr.model import ModelConfig, init_weights, save_checkpoint
@@ -219,6 +220,18 @@ class TestTrainInferEval:
         assert run("infer", "--in", gt_path, "--ckpt", bad,
                    "--out", str(tmp_path / "x.hsc")) == 2
         assert "zzz" in capsys.readouterr().err
+
+    def test_infer_state_0_checkpoint_exit_2(self, gt_path, tmp_path, capsys):
+        # every parameter fits the state-0 config (the S6 (d, N) matrices
+        # are (d, 0)), so only the config check can stop the forward pass
+        cfg = ModelConfig(bands=4, scale=2, hidden=8, levels=1, state=1)
+        params = {k: v[:, :0] if k.endswith(("a_log", "w_b", "w_c")) else v
+                  for k, v in init_weights(cfg).params.items()}
+        bad = tmp_path / "state0.hsrw"
+        bad.write_bytes(checkpoint_bytes({**asdict(cfg), "state": 0}, params))
+        assert run("infer", "--in", gt_path, "--ckpt", str(bad),
+                   "--out", str(tmp_path / "x.hsc")) == 2
+        assert "checkpoint config" in capsys.readouterr().err
 
     def test_infer_trailing_bytes_exit_2(self, gt_path, tmp_path, capsys):
         ckpt = str(tmp_path / "m.hsrw")

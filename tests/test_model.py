@@ -54,6 +54,12 @@ class TestConfig:
         with pytest.raises(ContractViolation, match="seed"):
             ModelConfig(bands=8, scale=2, seed=-1)
 
+    @pytest.mark.parametrize("field, value", [("state", 0), ("hidden", 72)])
+    def test_invalid_state_or_odd_hlfd_width(self, field, value):
+        # hidden 72 gives HLFD 72 // 8 = 9 inner channels, which it cannot halve
+        with pytest.raises(ContractViolation, match=field):
+            ModelConfig(bands=8, scale=2, **{field: value})
+
 
 class TestInitWeights:
     def test_deterministic_per_seed(self):
@@ -372,6 +378,8 @@ class TestCheckpoint:
         (json.dumps({**asdict(MICRO), "hidden": 0}).encode(), None, b""),
         (json.dumps({**asdict(MICRO), "scan_kind": "zigzag"}).encode(), None,
          b""),
+        (json.dumps({**asdict(MICRO), "state": 0}).encode(), None, b""),
+        (json.dumps({**asdict(MICRO), "hidden": 72}).encode(), None, b""),
         (json.dumps({**asdict(MICRO), "blocks_per_level": 2}).encode(), None,
          b""),
         (json.dumps({**asdict(MICRO), "blocks_per_level": True}).encode(),
@@ -380,8 +388,9 @@ class TestCheckpoint:
         (None, None, b"\0"),
     ], ids=["bad-json", "bad-utf8", "not-object", "unknown-key",
             "str-for-int", "float-for-int", "bool-for-int", "missing-key",
-            "scale-3", "hidden-0", "unknown-kind", "retired-key-2",
-            "retired-key-true", "bad-utf8-name", "trailing-bytes"])
+            "scale-3", "hidden-0", "unknown-kind", "state-0", "hidden-72",
+            "retired-key-2", "retired-key-true", "bad-utf8-name",
+            "trailing-bytes"])
     def test_malformed_config_or_name_rejected(self, tmp_path, config, name,
                                                tail):
         src = str(tmp_path / "m.hsrw")

@@ -278,6 +278,22 @@ class TestChannelAttention:
             lambda t: T.reduce_mean(T.sigmoid(
                 ops.channel_attention(_t64(x), t, _t64(w2), b1, b2))), w1) < 1e-6
 
+    @pytest.mark.parametrize("name", ["x", "w1", "w2", "b1", "b2"])
+    def test_grad_check_every_input(self, name):
+        g = rng(12)
+        c, r = 6, 3
+        raw = {"x": g.normal(size=(c, 3, 4)), "w1": g.normal(size=(r, c)),
+               "w2": g.normal(size=(c, r)), "b1": g.normal(size=r),
+               "b2": g.normal(size=c)}
+        pre = raw["w1"] @ raw["x"].mean(axis=(1, 2)) + raw["b1"]
+        assert pre.min() < 0 < pre.max()  # the ReLU both passes and masks
+
+        def f(t):
+            args = {k: t if k == name else _t64(v) for k, v in raw.items()}
+            return T.reduce_mean(T.sigmoid(ops.channel_attention(**args)))
+
+        assert T.grad_check(f, raw[name]) < 1e-6
+
     def test_bottleneck_width(self):
         assert ops.ca_bottleneck(16) == 4
         assert ops.ca_bottleneck(8) == 2

@@ -1,11 +1,9 @@
-"""Tape, elementwise ops, matmul, reductions and shape ops."""
+"""Tape, elementwise ops, reductions and shape ops."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import matmul_oracle, rel_err, rng
+from conftest import rng
 from stripesr import ops, tensor as T
 from stripesr.errors import ContractViolation
 from stripesr.tensor import Tape, Tensor
@@ -101,17 +99,6 @@ class TestTapeBackward:
 
 
 class TestElementwise:
-    def test_add_broadcast_and_grad(self):
-        tape = Tape()
-        a = tape.leaf(rng(0).normal(size=(3, 4)))
-        b = tape.leaf(rng(1).normal(size=(4,)))
-        out = T.add(a, b)
-        np.testing.assert_allclose(out.data, a.data + b.data)
-        tape.backward(T.reduce_mean(out))
-        np.testing.assert_array_equal(tape.grad(a), np.full((3, 4), 1 / 12))
-        # broadcast grad folds back onto the smaller operand
-        np.testing.assert_allclose(tape.grad(b), np.full(4, 3 / 12), rtol=1e-15)
-
     def test_sigmoid_stable_at_large_args(self):
         out = T.sigmoid(Tensor([800.0, -800.0], dtype=np.float64)).data
         assert out[0] == pytest.approx(1.0)
@@ -121,10 +108,6 @@ class TestElementwise:
         x = rng(2).normal(size=16)
         got = T.silu(Tensor(x, dtype=np.float64)).data
         np.testing.assert_allclose(got, x / (1.0 + np.exp(-x)), rtol=1e-12)
-
-    def test_relu(self):
-        got = T.relu(Tensor([-1.0, 0.0, 2.0])).data
-        np.testing.assert_array_equal(got, [0.0, 0.0, 2.0])
 
     @pytest.mark.parametrize("op", [T.sigmoid, T.silu],
                              ids=lambda op: op.__name__)
@@ -143,6 +126,13 @@ class TestElementwise:
                 T.sigmoid(op(t, Tensor(other, dtype=np.float64)))),
             x)
         assert err < 1e-6
+
+    @pytest.mark.parametrize("op", [T.add, T.mul],
+                             ids=lambda op: op.__name__)
+    def test_binary_rejects_mismatched_shapes(self, op):
+        # a (4,) operand would broadcast in numpy; the tape op refuses it
+        with pytest.raises(ContractViolation, match=r"\(3, 4\) and \(4,\)"):
+            op(Tensor(np.ones((3, 4))), Tensor(np.ones(4)))
 
 
 # zero, tiny, unit, large and past-overflow arguments of both signs
@@ -195,29 +185,6 @@ class TestNumpyHelpers:
         np.testing.assert_array_equal(got, want)
 
 
-class TestMatmul:
-    def test_matches_triple_loop_oracle(self):
-        a = rng(6).normal(size=(5, 7))
-        b = rng(7).normal(size=(7, 3))
-        got = T.matmul(Tensor(a, dtype=np.float64), Tensor(b, dtype=np.float64))
-        assert rel_err(got.data, matmul_oracle(a, b)) < 1e-6
-
-    def test_grad_check_both_sides(self):
-        a = rng(8).normal(size=(3, 4))
-        b = rng(9).normal(size=(4, 2))
-        err_a = T.grad_check(
-            lambda t: T.reduce_mean(T.sigmoid(
-                T.matmul(t, Tensor(b, dtype=np.float64)))), a)
-        err_b = T.grad_check(
-            lambda t: T.reduce_mean(T.sigmoid(
-                T.matmul(Tensor(a, dtype=np.float64), t))), b)
-        assert err_a < 1e-6 and err_b < 1e-6
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ContractViolation):
-            T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
-
-
 class TestReductions:
     def test_mean_axis0_hand_enumeration(self):
         x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
@@ -241,12 +208,6 @@ class TestReductions:
 
 
 class TestShapeOps:
-    def test_reshape_roundtrip_grad(self):
-        x = rng(12).normal(size=(2, 6))
-        err = T.grad_check(
-            lambda t: T.reduce_mean(T.sigmoid(T.reshape(t, (3, 4)))), x)
-        assert err < 1e-6
-
     def test_concat_values_and_grad(self):
         a = rng(13).normal(size=(2, 3))
         b = rng(14).normal(size=(4, 3))
@@ -284,13 +245,3 @@ class TestGradCheckHarness:
             out = T._record_unary(t, t.data.copy(), dfn)
             return T.reduce_mean(out)
         assert T.grad_check(bad, rng(19).normal(size=(3,))) > 1e-2
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5),
-       st.integers(0, 10_000))
-def test_matmul_matches_oracle_hypothesis(m, k, n, seed):
-    a = np.random.default_rng(seed).normal(size=(m, k))
-    b = np.random.default_rng(seed + 1).normal(size=(k, n))
-    got = T.matmul(Tensor(a, dtype=np.float64), Tensor(b, dtype=np.float64))
-    assert rel_err(got.data, matmul_oracle(a, b)) < 1e-6
