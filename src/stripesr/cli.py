@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Subcommands: synth, degrade, train, infer, eval, scan-viz.
-Exit codes: 0 success, 1 numeric failure, 2 usage or format failure.
+Exit codes: 0 success, 1 numeric failure, 2 usage or format failure, or a
+request too large for memory.
 """
 
 from __future__ import annotations
@@ -218,6 +219,9 @@ def main(argv=None) -> int:
         return 1
     except (ContractViolation, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {args.command}: not enough memory: {exc}", file=sys.stderr)
         return 2
 
 

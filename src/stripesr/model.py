@@ -15,7 +15,9 @@ Odd spatial dims are reflect-padded before each DWT and cropped after the
 matching IWT. A NumericError raised inside a block, or by the finiteness
 check on each block's output, names the block path (`enc.1.hfse.0: ...`);
 a non-finite value from a model-level op (conv, DWT, IWT, pad, crop) is
-reported by the next block or by the check on the final output. Weights
+reported by the next block or by the check on the final output. The
+forward drops its reference to each map once that map is finished, so an
+untaped pass frees it; a tape keeps its own references. Weights
 live in a flat path -> array dict; the checkpoint container is the binary
 HSRW format (byte-exact roundtrip).
 """
@@ -181,18 +183,23 @@ def forward(x_lr: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor
     cur = ops.conv2d(x_up, pv["global.head.w"], pv["global.head.b"])
     cur = _stage(cur, params, "enc.0.lfse.0", blocks.lfse_forward, cfg)
 
+    # each map is dropped once finished, so an untaped forward frees it; a
+    # tape keeps its own references
     highs = []
     for i in range(1, cfg.levels + 1):
         cur, dims = _pad_to_even(cur)
         pair = dwt_haar(cur)
+        del cur
         h_out = _stage(pair.high, params, f"enc.{i}.hfse.0", blocks.hfse_forward, cfg)
         highs.append((h_out, dims))
         cur = _stage(pair.low, params, f"enc.{i}.lfse.0", blocks.lfse_forward, cfg)
+        del pair
 
     for i in range(cfg.levels, 0, -1):
-        h_out, dims = highs[i - 1]
-        y = _crop(iwt_haar(WaveletPair(low=cur, high=h_out)), dims)
-        cur = _stage(y, params, f"dec.{i}.hlfd.0", blocks.hlfd_forward, cfg)
+        h_out, dims = highs.pop()
+        cur = _crop(iwt_haar(WaveletPair(low=cur, high=h_out)), dims)
+        del h_out
+        cur = _stage(cur, params, f"dec.{i}.hlfd.0", blocks.hlfd_forward, cfg)
 
     residual = ops.conv2d(cur, pv["global.tail.w"], pv["global.tail.b"])
     out = T.add(x_up, residual)

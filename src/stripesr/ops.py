@@ -1,8 +1,9 @@
 """Neural-network operators on top of the tensor tape.
 
-Convolution (grouped / dilated, stride 1, reflect "same" padding, one GEMM
-per kernel tap), channel layer norm, squeeze-excite channel attention, Keys
-bicubic resampling, AdamW and the L1 objective. Images are (C, H, W).
+Convolution (grouped / dilated, stride 1, reflect "same" padding; one GEMM
+per block of output rows forward, one per kernel tap backward), channel
+layer norm, squeeze-excite channel attention, Keys bicubic resampling,
+AdamW and the L1 objective. Images are (C, H, W).
 Each taped op is one `tensor.record` over all its inputs; its backward
 closure returns one gradient per input, and the tape decides which it keeps.
 """
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, NumericError
 from . import tensor as T
 from .tensor import Tensor
 
@@ -56,15 +57,22 @@ def reflect_pad(x: np.ndarray, pt: int, pb: int, pl: int, pr: int):
     return xp, fold
 
 
+CONV_BLOCK_BYTES = 1 << 20  # size of the conv forward's column buffer
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None, dilation: int = 1) -> Tensor:
     """Grouped dilated stride-1 cross-correlation with reflect "same"
     padding; x (C_in,H,W), w (C_out,C_in/g,kh,kw). The weight fixes the
     kernel and the group count g = C_in / w.shape[1].
 
-    Tap (i, j) is one GEMM, batched over groups, with the slice of the flat
-    padded image at offset (i*Wp + j)*dilation. Rows come out at the padded
-    width Wp and their wrap-around columns are cropped; no patch copy is
-    built. Backward runs the same per-tap GEMMs for both gradients."""
+    The forward walks blocks of whole output rows, about CONV_BLOCK_BYTES
+    of columns each: it copies the block's kh*kw tap windows of the padded
+    image into one reused (g, kh*kw*C_in/g, rows*W) column buffer and runs
+    one GEMM, batched over groups, straight into the block's rows of the
+    output (the blocked im2col of Vasudevan, Anderson & Gregg 2017). No
+    full-size accumulator or patch copy is built. Backward runs one GEMM
+    per tap (i, j) for each gradient, on the slice of the flat padded image
+    at offset (i*Wp + j)*dilation, with rows at the padded width Wp."""
     c_in, h, wd = x.shape
     c_out, c_in_g, kh, kw = w.shape
     if min(w.shape) < 1 or c_in % c_in_g != 0 or c_out % (c_in // c_in_g) != 0:
@@ -81,16 +89,29 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, dilation: int = 1) -> Tensor:
     pt, pl = (ekh - 1) // 2, (ekw - 1) // 2
     xp, fold = reflect_pad(x.data, pt, ekh - 1 - pt, pl, ekw - 1 - pl)
     hp, wp = xp.shape[1:]
-    m = h * wp - (ekw - 1)  # slices end before the last row's wrap-around
-    xf = xp.reshape(g, c_in_g, hp * wp)
     taps = [(i, j, (i * wp + j) * dilation) for i in range(kh) for j in range(kw)]
     wg = w.data.reshape(g, c_out // g, c_in_g, kh, kw)
-    acc = np.zeros((g, c_out // g, h * wp), dtype=np.result_type(xf, wg))
-    for i, j, o in taps:
-        acc[..., :m] += wg[..., i, j] @ xf[..., o : o + m]
+    dtype = np.result_type(xp, wg)
+    k = kh * kw * c_in_g
+    # column row t*C_in/g + c holds tap t of channel c, as wk's columns do
+    wk = wg.transpose(0, 1, 3, 4, 2).reshape(g, c_out // g, k)
+    rows = max(1, min(h, CONV_BLOCK_BYTES // (g * k * wd * dtype.itemsize)))
+    cols = np.empty((g, k, rows * wd), dtype)
+    xg = xp.reshape(g, c_in_g, hp, wp)
+    out = np.empty((c_out, h, wd), dtype=x.dtype)
+    og = out.reshape(g, c_out // g, h * wd)
+    for r0 in range(0, h, rows):
+        r1 = min(r0 + rows, h)
+        blk = cols[..., : (r1 - r0) * wd]
+        taps_view = blk.reshape(g, kh * kw, c_in_g, r1 - r0, wd)
+        for t, (i, j, _) in enumerate(taps):
+            taps_view[:, t] = xg[:, :, r0 + i * dilation : r1 + i * dilation,
+                                 j * dilation : j * dilation + wd]
+        np.matmul(wk, blk, out=og[..., r0 * wd : r1 * wd])
     if b is not None:
-        acc += b.data.reshape(g, c_out // g, 1)
-    out = np.ascontiguousarray(acc.reshape(c_out, h, wp)[:, :, :wd], dtype=x.dtype)
+        out += b.data.reshape(c_out, 1, 1)
+    m = h * wp - (ekw - 1)  # backward slices end before the last row's wrap-around
+    xf = xp.reshape(g, c_in_g, hp * wp)
 
     def backward(gy):
         # `xf`, the flat padded input, is the only array kept for backward
@@ -210,7 +231,11 @@ class OptState:
 
 
 def adamw_step(params: dict, grads: dict, state: OptState) -> None:
-    """One decoupled-weight-decay Adam update, in place on `params`."""
+    """One decoupled-weight-decay Adam update, in place on `params`.
+
+    Raises NumericError naming the first parameter, in `params` order, that
+    its update made non-finite (numpy's overflow warning is replaced by
+    this check)."""
     if not 0 < state.lr < np.inf:  # also rejects NaN
         raise ContractViolation(f"adamw_step: lr must be finite and > 0, got {state.lr}")
     state.step += 1
@@ -231,8 +256,11 @@ def adamw_step(params: dict, grads: dict, state: OptState) -> None:
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        p -= state.lr * (update + state.weight_decay * p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            p -= state.lr * (update + state.weight_decay * p)
+        if not np.isfinite(p).all():
+            raise NumericError(f"adamw_step: the update made {name} non-finite")
 
 
 def l1_loss(pred: Tensor, target: Tensor) -> Tensor:

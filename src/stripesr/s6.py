@@ -12,8 +12,9 @@ forward loops over chunks of CHUNK tokens, carrying h; in each chunk h_t
 overwrites its decay Abar_t in place (time-major). Each chunk stage is one
 numpy kernel: GEMMs for the projections, `tensor.softplus` for delta, einsum
 for the outer products delta*A and (delta*x) B_t, and a batched matmul for
-the readout <C_t, h_t>. Untaped calls reuse one chunk's buffers; taped calls
-write into whole-T arrays that the hand-written backward reads. It
+the readout <C_t, h_t>. Untaped calls reuse one chunk's buffers, and from
+`ss2d` write y over the gathered sequences; taped calls write into whole-T
+arrays that the hand-written backward reads. It
 recomputes the decays, loops only over the dL/dh_t recurrence and takes
 every other gradient over all of T: per-token contractions and sums over T
 as batched matmuls, and einsums where a matmul would broadcast A's (B, d).
@@ -77,8 +78,12 @@ def delta_rank(d: int) -> int:
     return max(d // 16, 1)
 
 
-def _s6_core(seq: Tensor, params: list[S6Params]) -> Tensor:
-    """Batched fused scan: seq (B, d, T), one S6Params per batch entry."""
+def _s6_core(seq: Tensor, params: list[S6Params], reuse_seq: bool = False) -> Tensor:
+    """Batched fused scan: seq (B, d, T), one S6Params per batch entry.
+
+    With `reuse_seq`, an untaped call of seq's dtype writes y over seq's
+    data, which the caller must own: each chunk reads its x slice before it
+    writes its y slice. A taped call always keeps x for backward."""
     nb, d, t = seq.shape
     for p in params:
         p.validate()
@@ -107,7 +112,8 @@ def _s6_core(seq: Tensor, params: list[S6Params]) -> Tensor:
     # the softplus scratch and the readout borrow the front of ub's memory:
     # both run while ub holds no injections
     sp_ = ub_.reshape(-1)[: ub_.shape[0] * nb * d].reshape(-1, nb, d)
-    y = np.empty((nb, d, t), dtype)
+    in_place = reuse_seq and not taped and x.dtype == dtype
+    y = x if in_place else np.empty((nb, d, t), dtype)
     h = np.zeros((nb, d, n), dtype)
     for c0 in range(0, t, CHUNK):
         c1 = min(c0 + CHUNK, t)
@@ -186,7 +192,10 @@ def _s6_core(seq: Tensor, params: list[S6Params]) -> Tensor:
 def ss2d(x: Tensor, params: list[S6Params], orders: list[ScanOrder]) -> Tensor:
     """VMamba's SS2D on a (C, H, W) image: cross-scan it along the K orders
     into one (K, C, T) batch, scan entry k with params[k] in one S6 call, and
-    cross-merge, summing the K sequences put back along their orders."""
+    cross-merge, summing the K sequences put back along their orders. The
+    gathered sequences belong to this call alone, so an untaped scan writes
+    its output over them."""
     if len(params) != len(orders):
         raise ContractViolation("ss2d: need one S6Params per ScanOrder")
-    return scatter_tokens(_s6_core(gather_tokens(x, orders), params), orders)
+    return scatter_tokens(_s6_core(gather_tokens(x, orders), params, reuse_seq=True),
+                          orders)

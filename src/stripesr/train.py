@@ -90,7 +90,8 @@ def train(dataset, cfg: TrainConfig, mcfg: ModelConfig,
     `dataset` is a list of (lr_patch, gt_patch) arrays. Returns the final
     weights and the per-step loss curve. Stops early when `loss_target` or
     `max_steps` is hit. `on_step(step, loss, weights)` is called after each
-    update when given.
+    update when given. A non-finite forward, loss or updated weight raises
+    NumericError naming the step, before `on_step` sees that step.
     """
     if not dataset:
         raise ContractViolation("train: empty dataset")
@@ -114,16 +115,16 @@ def train(dataset, cfg: TrainConfig, mcfg: ModelConfig,
                     pred = forward(Tensor(lr_patch), params, mcfg)
                     item = ops.l1_loss(pred, Tensor(gt_patch))
                     loss = item if loss is None else add(loss, item)
+                if len(idx) > 1:
+                    loss = scale(loss, 1.0 / len(idx))
+                loss_val = loss.item()
+                if not math.isfinite(loss_val):
+                    raise NumericError("non-finite loss")
+                tape.backward(loss)
+                grads = {k: tape.grad(t) for k, t in params.items()}
+                ops.adamw_step(weights.params, grads, state)
             except NumericError as exc:
                 raise NumericError(f"{exc} (at step {step})") from exc
-            if len(idx) > 1:
-                loss = scale(loss, 1.0 / len(idx))
-            loss_val = loss.item()
-            if not math.isfinite(loss_val):
-                raise NumericError(f"non-finite loss at step {step}")
-            tape.backward(loss)
-            grads = {k: tape.grad(t) for k, t in params.items()}
-            ops.adamw_step(weights.params, grads, state)
             curve.append(loss_val)
             step += 1
             if on_step is not None:

@@ -6,6 +6,7 @@ they are independent of the vectorized implementations they check.
 
 import json
 import struct
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -57,6 +58,16 @@ def checkpoint_bytes(config: dict, params: dict) -> bytes:
                 struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape),
                 arr.astype("<f4").tobytes()]
     return b"".join(out)
+
+
+def traced_peak(fn):
+    """Call `fn()` with tracemalloc on; return its result and the peak
+    bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def as_leaves(raw, tape):

@@ -24,6 +24,7 @@ from stripesr.blocks import (
     vssm_specs,
 )
 from stripesr.errors import ContractViolation
+from stripesr.scan import KINDS, make_order
 from stripesr.tensor import Tensor
 
 def _orders(x, kind="stripe"):
@@ -57,6 +58,22 @@ class TestInnerChannels:
     def test_clamped_below_eight(self):
         assert inner_channels(8) == 8
         assert inner_channels(16) == 8
+
+
+class TestFourOrders:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_four_distinct_directions_on_a_non_square_grid(self, kind):
+        # directions 0 and 1 walk the base scheme, 2 and 3 the transposed one,
+        # built on the w x h grid and mapped back to flat h x w indices
+        h, w, p = 6, 10, 2
+        orders = four_orders(kind, p, h, w)
+        perms = {o.perm.tobytes() for o in orders}
+        assert len(perms) == 4
+        base = make_order(kind, h, w, p, 0).perm
+        q = make_order(kind, w, h, p, 0).perm
+        transposed = (q % h) * w + q // h
+        for k, want in enumerate((base, base[::-1], transposed, transposed[::-1])):
+            np.testing.assert_array_equal(orders[k].perm, want)
 
 
 class TestGateAlgebra:
@@ -224,6 +241,32 @@ class TestHfse:
         tape.backward(f(a))
         assert abs(tape.grad(a)[0]) > 1e-10
         assert T.grad_check(f, raw["alpha"].copy(), eps=1e-4) < 2e-3
+
+    def test_zero_vssm_straight_line_oracle(self):
+        # with VSSM's out_proj zero its output is its input, so the global
+        # branch is g = LN(g_conv(x')); at alpha = 0.9 the gate weights
+        # differ, so swapping the two dilated branches changes the output
+        c = 16
+        inner = inner_channels(c)
+        x = rng(23).normal(size=(c, 5, 6)) * 0.5
+        alpha = 0.9
+        zero = {"vssm.out_proj.w": np.zeros((inner, 2 * inner, 1, 1)),
+                "vssm.out_proj.b": np.zeros(inner),
+                "alpha": np.array([alpha])}
+        out, raw = run_block(hfse_forward, hfse_specs(c, 2), x, seed=24,
+                             override=zero)
+        xp = conv2d_oracle(x, raw["head.w"], raw["head.b"], (3, 3))
+        gc = conv2d_oracle(xp, raw["g_conv.w"], raw["g_conv.b"], (3, 3))
+        g = (gc - gc.mean(axis=0)) / np.sqrt(gc.var(axis=0) + 1e-5)
+        local = conv2d_oracle(xp, raw["dw5.w"], raw["dw5.b"], (5, 5),
+                              groups=inner)
+        x21 = conv2d_oracle(local, raw["dil1.w"], raw["dil1.b"], (3, 3))
+        x22 = conv2d_oracle(local, raw["dil2.w"], raw["dil2.b"], (3, 3),
+                            dilation=2)
+        w1 = math.exp(alpha) / (math.exp(alpha) + math.exp(1.0 - alpha))
+        fused = w1 * x21 * g + (1.0 - w1) * x22 * g
+        want = conv2d_oracle(fused + xp, raw["tail.w"], raw["tail.b"], (3, 3))
+        assert rel_err(out.data, want) < 1e-6
 
     def test_input_gradient(self):
         x = rng(16).normal(size=(8, 4, 4)) * 0.5

@@ -164,6 +164,20 @@ class TestTrainInferEval:
         assert "lr must be finite" in capsys.readouterr().err
         assert not ckpt.exists()
 
+    def test_train_update_to_non_finite_weights_exit_1(self, gt_path, tmp_path,
+                                                       capsys):
+        # lr 1e308 overflows every float32 update on the first step; no
+        # checkpoint may be written
+        ckpt = tmp_path / "m.hsrw"
+        assert run("train", "--gt", gt_path, "--scale", "2", "--steps", "1",
+                   "--ckpt", str(ckpt), "--hidden", "16", "--levels", "1",
+                   "--patch", "8", "--patches", "1", "--batch", "1",
+                   "--lr", "1e308") == 1
+        err = capsys.readouterr().err
+        assert "error: adamw_step: the update made global.head.w non-finite" in err
+        assert "(at step 0)" in err
+        assert not ckpt.exists()
+
     def test_train_defaults_are_the_config_defaults(self, tmp_path,
                                                     monkeypatch):
         # the benchmark's infer-cli workload builds ModelConfig(bands, scale)
@@ -326,6 +340,15 @@ class TestScanViz:
             "--kind", "window", "--direction", "1", "--out", out)
         blob = open(out + ".ppm", "rb").read()
         assert blob.startswith(b"P6\n4 4\n255\n")
+
+    def test_too_large_for_memory_exit_2(self, tmp_path, capsys):
+        # 10^12 cells: the first allocation asks for 7.3 TiB and fails at
+        # once, before anything is written
+        out = tmp_path / "viz"
+        assert run("scan-viz", "--height", "1000000", "--width", "1000000",
+                   "--out", str(out)) == 2
+        assert "error: scan-viz: not enough memory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_idempotent_outputs(self, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")

@@ -1,11 +1,9 @@
 """PSNR, SSIM, SAM, ERGAS straight-line oracles and edge cases."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from conftest import rel_err, rng, ssim_oracle
+from conftest import rel_err, rng, ssim_oracle, traced_peak
 from stripesr.data import HsiCube
 from stripesr.errors import ContractViolation, NumericError
 from stripesr.metrics import (
@@ -102,12 +100,7 @@ class TestSsim:
         g = rng(12)
         a = g.random((2, 256, 256))
         b = g.random((2, 256, 256))
-        tracemalloc.start()
-        try:
-            ssim(a, b)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: ssim(a, b))
         assert peak < 16 * 2**20
 
     def test_too_small_window_rejected(self):

@@ -10,7 +10,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from conftest import ABSURD_SHAPES, absurd_shape_checkpoint, rng
+from conftest import ABSURD_SHAPES, absurd_shape_checkpoint, rng, traced_peak
 from stripesr import blocks, ops
 from stripesr import tensor as T
 from stripesr.errors import ContractViolation, FormatError, NumericError
@@ -143,6 +143,17 @@ class TestForward:
         out = infer(rng(2).random((4, 9, 7)).astype(np.float32),
                     init_weights(MICRO))
         assert out.shape == (4, 18, 14)
+
+    def test_untaped_infer_peak_memory(self):
+        # the default model at HR 256: finished maps are dropped, conv2d
+        # writes row blocks into its output and ss2d scans in place, so the
+        # peak stays below 4.5 HR maps of 64 channels
+        cfg = ModelConfig(bands=31, scale=4)
+        weights = init_weights(cfg)
+        x = rng(8).random((31, 64, 64)).astype(np.float32)
+        out, peak = traced_peak(lambda: infer(x, weights))
+        assert out.shape == (31, 256, 256)
+        assert peak < 4.5 * 64 * 256 * 256 * 4
 
     def test_band_mismatch_rejected(self):
         with pytest.raises(ContractViolation):

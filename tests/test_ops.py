@@ -1,11 +1,9 @@
 """Conv2d, layernorm, channel attention, bicubic resize, AdamW, L1."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from conftest import conv2d_oracle, rel_err, rng
+from conftest import conv2d_oracle, rel_err, rng, traced_peak
 from stripesr import ops, tensor as T
 from stripesr.errors import ContractViolation
 from stripesr.ops import OptState
@@ -169,19 +167,25 @@ class TestConv2d:
         assert T.grad_check(lambda t: loss_of(_t64(x), t), w) < 1e-6
 
     def test_forward_peak_memory_bounded_by_input(self):
-        # no patch or column copy: the padded image plus one output-sized
-        # temporary per tap; a (C_in*kh*kw, H*W) copy would be 9x the input
+        # the padded image, the output and one row block of columns; a
+        # (C_in*kh*kw, H*W) column copy would be 9x the input
         g = rng(6)
         x = g.normal(size=(64, 128, 128)).astype(np.float32)
         w = g.normal(size=(8, 64, 3, 3)).astype(np.float32)
         b = np.zeros(8, dtype=np.float32)
-        tracemalloc.start()
-        try:
-            ops.conv2d(Tensor(x), Tensor(w), Tensor(b))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: ops.conv2d(Tensor(x), Tensor(w), Tensor(b)))
         assert peak < 4 * x.nbytes
+
+    def test_forward_writes_rows_straight_into_output(self):
+        # 8 -> 64 at 256^2: no output-sized accumulator, crop copy or
+        # per-tap temporary beside the output, only one row block of columns
+        g = rng(7)
+        x = g.normal(size=(8, 256, 256)).astype(np.float32)
+        w = g.normal(size=(64, 8, 3, 3)).astype(np.float32)
+        b = np.zeros(64, dtype=np.float32)
+        out, peak = traced_peak(lambda: ops.conv2d(Tensor(x), Tensor(w), Tensor(b)))
+        padded = 8 * 258 * 258 * 4
+        assert peak < x.nbytes + padded + out.data.nbytes + 2 * 2**20
 
     def test_group_mismatch_rejected(self):
         # the weight's C_in/g must divide C_in, and g must divide C_out

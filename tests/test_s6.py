@@ -1,11 +1,9 @@
 """Selective-scan recurrence: oracles, causality, gradients."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from conftest import rel_err, rng, s6_oracle
+from conftest import rel_err, rng, s6_oracle, traced_peak
 from stripesr import tensor as T
 from stripesr.errors import ContractViolation, NumericError
 from stripesr.s6 import CHUNK, S6Params, _s6_core, delta_rank, ss2d
@@ -132,12 +130,7 @@ class TestCore:
         # would be n = 16 times the input
         sets = [make_params(60 + k, 16, 16, dtype=np.float32) for k in range(4)]
         x = rng(61).normal(size=(4, 16, 16384)).astype(np.float32)
-        tracemalloc.start()
-        try:
-            _s6_core(Tensor(x), [p for p, _ in sets])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: _s6_core(Tensor(x), [p for p, _ in sets]))
         assert peak < 3 * x.nbytes
 
     def test_taped_backward_memory_and_dtype(self):
@@ -153,12 +146,7 @@ class TestCore:
             for j in range(nb)])
         backward = tape.nodes[y.node_id].backward
         gy = rng(65).normal(size=y.shape).astype(np.float32)
-        tracemalloc.start()
-        try:
-            grads = backward(gy)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        grads, peak = traced_peak(lambda: backward(gy))
         assert peak < 3 * t * nb * d * n * 4
         assert len(grads) == 1 + 7 * nb
         assert all(g.dtype == np.float32 for g in grads)
@@ -222,6 +210,10 @@ class TestGradients:
     def test_input_gradient_across_two_chunk_boundaries(self):
         # the third chunk starts from a state carried through the second
         assert self._input_err(2 * CHUNK + 1) < 2e-3
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_parameter_gradients_across_two_chunk_boundaries(self, key):
+        assert self._param_err(key, 2 * CHUNK + 1) < 2e-3
 
     def test_every_gradient_of_a_rank_two_batched_call(self):
         # delta rank 2 and distinct nb, n and t: a transposed w_dt_up or
@@ -329,6 +321,30 @@ class TestSs2d:
             return T.reduce_mean(T.sigmoid(ss2d(x, [S6Params(**kw)] * 4, orders)))
 
         assert T.grad_check(f, raw["a_log"].copy()) < 2e-3
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_untaped_output_bit_identical_to_taped(self, dtype):
+        # the untaped scan writes its output over the gathered sequences;
+        # 20 x 30 = 600 tokens run three chunks
+        sets = [make_params(27 + k, 3, 4, dtype=dtype)[0] for k in range(4)]
+        orders = self._orders(20, 30)
+        img = rng(28).normal(size=(3, 20, 30)).astype(dtype)
+        kept = img.copy()
+        plain = ss2d(Tensor(img), sets, orders)
+        np.testing.assert_array_equal(img, kept)
+        taped = ss2d(Tape().leaf(img), sets, orders)
+        assert plain.node_id is None and taped.node_id is not None
+        np.testing.assert_array_equal(plain.data, taped.data)
+
+    def test_untaped_peak_memory_holds_one_set_of_sequences(self):
+        # the (K, C, T) sequences, the merged image and its per-order
+        # temporary (6 images in all) plus O(CHUNK) buffers; a separate
+        # (K, C, T) output would add 4 more images
+        sets = [make_params(29 + k, 4, 16, dtype=np.float32)[0] for k in range(4)]
+        img = rng(29).normal(size=(4, 256, 256)).astype(np.float32)
+        orders = self._orders(256, 256)
+        _, peak = traced_peak(lambda: ss2d(Tensor(img), sets, orders))
+        assert peak < 7 * img.nbytes
 
     def test_records_three_tape_nodes(self):
         # cross-scan, scan and cross-merge: one node each for all four orders
