@@ -12,9 +12,9 @@ forward loops over chunks of CHUNK tokens, carrying h; in each chunk h_t
 overwrites its decay Abar_t in place (time-major). Each chunk stage is one
 numpy kernel: GEMMs for the projections, `tensor.softplus` for delta, einsum
 for the outer products delta*A and (delta*x) B_t, and a batched matmul for
-the readout <C_t, h_t>. Untaped calls reuse one chunk's buffers, and from
-`ss2d` write y over the gathered sequences; taped calls write into whole-T
-arrays that the hand-written backward reads. It
+the readout <C_t, h_t>. Untaped calls reuse one chunk's buffers and write
+y over their input sequences when those have the result dtype; taped calls
+write into whole-T arrays that the hand-written backward reads. It
 recomputes the decays, loops only over the dL/dh_t recurrence and takes
 every other gradient over all of T: per-token contractions and sums over T
 as batched matmuls, and einsums where a matmul would broadcast A's (B, d).
@@ -78,12 +78,13 @@ def delta_rank(d: int) -> int:
     return max(d // 16, 1)
 
 
-def _s6_core(seq: Tensor, params: list[S6Params], reuse_seq: bool = False) -> Tensor:
+def _s6_core(seq: Tensor, params: list[S6Params]) -> Tensor:
     """Batched fused scan: seq (B, d, T), one S6Params per batch entry.
 
-    With `reuse_seq`, an untaped call of seq's dtype writes y over seq's
-    data, which the caller must own: each chunk reads its x slice before it
-    writes its y slice. A taped call always keeps x for backward."""
+    An untaped call consumes seq: when seq has the result dtype, y is
+    written over seq's data, each chunk reading its x slice before it
+    writes its y slice. Callers that read seq afterwards pass a copy. A
+    taped call keeps x for backward and writes y to a new array."""
     nb, d, t = seq.shape
     for p in params:
         p.validate()
@@ -112,8 +113,7 @@ def _s6_core(seq: Tensor, params: list[S6Params], reuse_seq: bool = False) -> Te
     # the softplus scratch and the readout borrow the front of ub's memory:
     # both run while ub holds no injections
     sp_ = ub_.reshape(-1)[: ub_.shape[0] * nb * d].reshape(-1, nb, d)
-    in_place = reuse_seq and not taped and x.dtype == dtype
-    y = x if in_place else np.empty((nb, d, t), dtype)
+    y = x if not taped and x.dtype == dtype else np.empty((nb, d, t), dtype)
     h = np.zeros((nb, d, n), dtype)
     for c0 in range(0, t, CHUNK):
         c1 = min(c0 + CHUNK, t)
@@ -197,5 +197,4 @@ def ss2d(x: Tensor, params: list[S6Params], orders: list[ScanOrder]) -> Tensor:
     its output over them."""
     if len(params) != len(orders):
         raise ContractViolation("ss2d: need one S6Params per ScanOrder")
-    return scatter_tokens(_s6_core(gather_tokens(x, orders), params, reuse_seq=True),
-                          orders)
+    return scatter_tokens(_s6_core(gather_tokens(x, orders), params), orders)

@@ -188,17 +188,17 @@ def test_criterion_03_selective_scan_oracle_equivalence(capsys):
         for inst in range(50):
             p, raw = _random_s6_params(1000 + inst, d, n)
             x = np.random.default_rng(inst).normal(size=(d, t))
-            got = _s6_core(_t64(x[None]), [p]).data[0]
+            got = _s6_core(_t64(x[None].copy()), [p]).data[0]
             assert rel_err(got, s6_oracle(x, **raw)) < 1e-5
         # one batched call with a distinct parameter set per entry, and
         # sequences that end inside and at the end of a later chunk
         for t_long in (t, CHUNK + 5, 2 * CHUNK):
             sets = [_random_s6_params(2000 + k, d, n) for k in range(4)]
             xb = np.random.default_rng(50).normal(size=(4, d, t_long))
-            got = _s6_core(_t64(xb), [p for p, _ in sets]).data
+            got = _s6_core(_t64(xb.copy()), [p for p, _ in sets]).data
             for k, (_, raw) in enumerate(sets):
                 assert rel_err(got[k], s6_oracle(xb[k], **raw)) < 1e-5
-                got_k = _s6_core(_t64(xb[k : k + 1]), [sets[k][0]]).data[0]
+                got_k = _s6_core(_t64(xb[k : k + 1].copy()), [sets[k][0]]).data[0]
                 assert rel_err(got_k, s6_oracle(xb[k], **raw)) < 1e-5
         # hand-unrolled scalar recurrence, d=1 N=1 T=3
         p, raw = _random_s6_params(7, 1, 1)
@@ -281,7 +281,7 @@ def test_criterion_04_gradient_checks(capsys):
                 kw = {k: (t if k == name else _t64(v))
                       for k, v in raw6.items()}
                 return T.reduce_mean(T.sigmoid(
-                    _s6_core(_t64(seq), [S6Params(**kw)])))
+                    _s6_core(_t64(seq.copy()), [S6Params(**kw)])))
             chk(f, raw6[name], eps=1e-4)
         quad = [ _random_s6_params(20 + i, 2, 2)[0] for i in range(4)]
         orders = [make_order("stripe", 3, 4, 2, d) for d in range(4)]

@@ -17,6 +17,7 @@ from stripesr.model import ModelConfig, init_weights, save_checkpoint
 # the package re-exports `train` the function under the module's name
 model_module = importlib.import_module("stripesr.model")
 train_module = importlib.import_module("stripesr.train")
+scan_module = importlib.import_module("stripesr.scan")
 
 
 def run(*argv):
@@ -341,11 +342,14 @@ class TestScanViz:
         blob = open(out + ".ppm", "rb").read()
         assert blob.startswith(b"P6\n4 4\n255\n")
 
-    def test_too_large_for_memory_exit_2(self, tmp_path, capsys):
-        # 10^12 cells: the first allocation asks for 7.3 TiB and fails at
-        # once, before anything is written
+    def test_too_large_for_memory_exit_2(self, tmp_path, capsys, monkeypatch):
+        # the order's first allocation fails, before anything is written
+        def no_memory(*_):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(scan_module, "_tile_base", no_memory)
         out = tmp_path / "viz"
-        assert run("scan-viz", "--height", "1000000", "--width", "1000000",
+        assert run("scan-viz", "--height", "4", "--width", "4",
                    "--out", str(out)) == 2
         assert "error: scan-viz: not enough memory" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []

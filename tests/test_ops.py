@@ -96,6 +96,28 @@ class TestConv2d:
             lambda t: T.reduce_mean(T.sigmoid(ops.conv2d(t, _t64(w), None, dilation))),
             x) < 1e-6
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("c_in,c_out,kernel,dilation,groups", CONV_CASES)
+    def test_row_blocks_match_oracle(self, monkeypatch, rows, c_in, c_out,
+                                     kernel, dilation, groups):
+        # blocks of one row, and of three rows with a short last block of
+        # the seven: later blocks read the padded image from row r0 > 0
+        x, w, b = _conv_inputs(c_in, c_out, kernel, dilation, groups)
+        row_bytes = c_in * kernel[0] * kernel[1] * x.shape[2] * 8
+        monkeypatch.setattr(ops, "CONV_BLOCK_BYTES", rows * row_bytes)
+        got = ops.conv2d(_t64(x), _t64(w), _t64(b), dilation)
+        want = conv2d_oracle(x, w, b, kernel, dilation=dilation, groups=groups)
+        assert rel_err(got.data, want) < 1e-6
+
+    @pytest.mark.parametrize("kernel,dilation", [((5, 5), 1), ((3, 3), 2)])
+    def test_one_row_blocks_on_image_smaller_than_pad(self, monkeypatch,
+                                                      kernel, dilation):
+        x, w, b = _conv_inputs(2, 3, kernel, dilation, 1, hw=(2, 3))
+        monkeypatch.setattr(ops, "CONV_BLOCK_BYTES", 1)
+        got = ops.conv2d(_t64(x), _t64(w), _t64(b), dilation)
+        want = conv2d_oracle(x, w, b, kernel, dilation=dilation)
+        assert rel_err(got.data, want) < 1e-6
+
     def test_two_channel_5x5_oracle(self):
         g = rng(42)
         x = g.normal(size=(2, 5, 5))

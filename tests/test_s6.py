@@ -45,14 +45,14 @@ class TestNaiveForward:
     def test_hand_unrolled_three_steps(self):
         p, raw = make_params(7, 1, 1)
         x = np.array([[[0.3, -0.5, 0.9]]])
-        got = _s6_core(Tensor(x, dtype=np.float64), [p]).data[0]
+        got = _s6_core(Tensor(x.copy(), dtype=np.float64), [p]).data[0]
         want = s6_oracle(x[0], **raw)
         assert rel_err(got, want) < 1e-6
 
     def test_matches_loop_oracle_larger(self):
         p, raw = make_params(3, 4, 8)
         x = rng(4).normal(size=(1, 4, 32))
-        got = _s6_core(Tensor(x, dtype=np.float64), [p]).data[0]
+        got = _s6_core(Tensor(x.copy(), dtype=np.float64), [p]).data[0]
         assert rel_err(got, s6_oracle(x[0], **raw)) < 1e-6
 
     def test_zero_input_zero_output(self):
@@ -64,7 +64,7 @@ class TestNaiveForward:
         # perturbing token t must not change outputs before t
         p, _ = make_params(6, 2, 4)
         x = rng(7).normal(size=(1, 2, 16))
-        y0 = _s6_core(Tensor(x, dtype=np.float64), [p]).data
+        y0 = _s6_core(Tensor(x.copy(), dtype=np.float64), [p]).data
         xp = x.copy()
         xp[..., 9] += 1.0
         y1 = _s6_core(Tensor(xp, dtype=np.float64), [p]).data
@@ -97,7 +97,7 @@ class TestCore:
         sets = [make_params(50 + k, 4, 8, dtype=dtype) for k in range(3)]
         for t in (17, CHUNK + 3):
             x = rng(51).normal(size=(3, 4, t)).astype(dtype)
-            plain = _s6_core(Tensor(x), [p for p, _ in sets])
+            plain = _s6_core(Tensor(x.copy()), [p for p, _ in sets])
             tape = Tape()
             taped = _s6_core(tape.leaf(x), [
                 S6Params(**{k: tape.leaf(np.asarray(v, dtype))
@@ -118,16 +118,17 @@ class TestCore:
             params.append(S6Params(**{k: Tensor(v, dtype=np.float64)
                                       for k, v in raw.items()}))
         x = rng(71).normal(size=(3, 4, CHUNK + 5))
-        got = _s6_core(Tensor(x, dtype=np.float64), params).data
+        got = _s6_core(Tensor(x.copy(), dtype=np.float64), params).data
         for k, raw in enumerate(raws):
             want = s6_oracle(x[k], **raw)
             assert rel_err(got[k], want) < 1e-5
-            one = _s6_core(Tensor(x[k : k + 1], dtype=np.float64), [params[k]])
+            one = _s6_core(Tensor(x[k : k + 1].copy(), dtype=np.float64),
+                           [params[k]])
             assert rel_err(one.data[0], want) < 1e-5
 
     def test_untaped_peak_memory_bounded_by_input(self):
-        # the output plus O(CHUNK) buffers; a (T, B, d, n) state buffer
-        # would be n = 16 times the input
+        # O(CHUNK) buffers, the output written over the input; a
+        # (T, B, d, n) state buffer would be n = 16 times the input
         sets = [make_params(60 + k, 16, 16, dtype=np.float32) for k in range(4)]
         x = rng(61).normal(size=(4, 16, 16384)).astype(np.float32)
         _, peak = traced_peak(lambda: _s6_core(Tensor(x), [p for p, _ in sets]))
@@ -177,12 +178,13 @@ class TestGradients:
     @staticmethod
     def _param_err(key, t):
         _, raw = make_params(17, 2, 3)
-        x = Tensor(rng(18).normal(size=(1, 2, t)), dtype=np.float64)
+        x = rng(18).normal(size=(1, 2, t))
 
         def f(s):
             kw = {k: (s if k == key else Tensor(v, dtype=np.float64))
                   for k, v in raw.items()}
-            return T.reduce_mean(T.sigmoid(_s6_core(x, [S6Params(**kw)])))
+            return T.reduce_mean(T.sigmoid(
+                _s6_core(Tensor(x.copy(), dtype=np.float64), [S6Params(**kw)])))
 
         return T.grad_check(f, raw[key].copy())
 
@@ -232,11 +234,11 @@ class TestGradients:
                 for j, raw in enumerate(raws)])))
 
         errs = {"x": T.grad_check(loss, x)}
-        seq = Tensor(x, dtype=np.float64)
         for k in range(nb):
             for key in KEYS:
                 errs[k, key] = T.grad_check(
-                    lambda s: loss(seq, k, key, s), raws[k][key].copy())
+                    lambda s: loss(Tensor(x.copy(), dtype=np.float64), k, key, s),
+                    raws[k][key].copy())
         assert max(errs.values()) < 2e-3, errs
 
     @pytest.mark.parametrize("key", KEYS)
@@ -244,10 +246,11 @@ class TestGradients:
         # three distinct parameter sets in one _s6_core call; each entry's
         # gradient must reach its own parameters
         raws = [make_params(40 + k, 2, 3)[1] for k in range(3)]
-        x = Tensor(rng(41).normal(size=(3, 2, 5)), dtype=np.float64)
+        x = rng(41).normal(size=(3, 2, 5))
         for k in range(3):
             def f(s):
-                return T.reduce_mean(T.sigmoid(_s6_core(x, [
+                seq = Tensor(x.copy(), dtype=np.float64)
+                return T.reduce_mean(T.sigmoid(_s6_core(seq, [
                     S6Params(**{name: (s if (j, name) == (k, key)
                                        else Tensor(v, dtype=np.float64))
                                 for name, v in raw.items()})
