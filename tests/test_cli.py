@@ -306,6 +306,30 @@ class TestNonFiniteInput:
         assert "error: enc.1.hfse.0: s6 scan" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_infer_overflowing_a_log_exit_0(self, gt_path, tmp_path):
+        # exp(1e30) overflows to A = -inf, the exact limit: a decay of 0,
+        # with no numpy overflow warning (an error under this suite)
+        ckpt = str(tmp_path / "m.hsrw")
+        out = str(tmp_path / "x.hsc")
+        weights = init_weights(ModelConfig(bands=4, scale=2, hidden=8,
+                                           levels=1, state=4))
+        weights.params["enc.0.lfse.0.vssm.s6.0.a_log"][:] = 1e30
+        save_checkpoint(weights, ckpt)
+        assert run("infer", "--in", gt_path, "--ckpt", ckpt,
+                   "--out", out) == 0
+        assert np.isfinite(read_hsc(out).data).all()
+
+    def test_eval_hsc_one_byte_long_exit_2(self, gt_path, tmp_path, capsys):
+        size = os.path.getsize(gt_path)
+        with open(gt_path, "ab") as fh:
+            fh.write(b"\0")
+        csv = tmp_path / "m.csv"
+        assert run("eval", "--pred", gt_path, "--gt", gt_path, "--scale", "2",
+                   "--csv", str(csv)) == 2
+        assert f"trailing bytes after the HSC payload at byte {size}" in \
+            capsys.readouterr().err
+        assert not csv.exists()
+
     @pytest.mark.parametrize("cmd", ["eval", "infer"])
     def test_infinite_value_range_exit_2(self, gt_path, tmp_path, capsys,
                                          cmd):

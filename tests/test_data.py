@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import rng
+from conftest import conv2d_oracle, rng
 from stripesr.data import (
     HsiCube,
     atomic_open,
@@ -67,6 +67,13 @@ class TestHscFormat:
             read_hsc(tmp_cube_path)
         msg = str(err.value)
         assert "128" in msg and "121" in msg  # expected vs actual bytes
+
+    def test_one_byte_long_names_the_byte(self, tmp_cube_path):
+        write_hsc(synth_cube(2, 2, 4, 4), tmp_cube_path)
+        with open(tmp_cube_path, "ab") as fh:
+            fh.write(b"\0")
+        with pytest.raises(FormatError, match="trailing bytes .* at byte 152$"):
+            read_hsc(tmp_cube_path)  # 24-byte header + 128-byte payload
 
     def test_absurd_dims_rejected_before_reading(self, tmp_cube_path):
         # 2^31 x 2^31 x 2^31 floats; a header-only file must not be read
@@ -217,6 +224,18 @@ class TestDegrade:
         a = degrade(_cube(cube.data[perm]), 4).data
         b = degrade(cube, 4).data[perm]
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("scale", [2, 4])
+    def test_matches_depthwise_conv_oracle(self, scale):
+        # random values on a non-square cube: the kept samples include row 0
+        # and column 0, whose blur reads the reflected border
+        x = rng(5).uniform(0, 1, (3, 8, 12)).astype(np.float32)
+        w = np.broadcast_to(gaussian3_kernel(), (3, 1, 3, 3))
+        want = conv2d_oracle(x.astype(np.float64), w, None, (3, 3), groups=3)
+        got = degrade(_cube(x), scale).data
+        assert got.shape == (3, 8 // scale, 12 // scale)
+        np.testing.assert_allclose(got, want[:, ::scale, ::scale], rtol=0,
+                                   atol=1e-6)
 
 
 class TestSynthCube:
