@@ -6,9 +6,10 @@ ParamView holding those tensors and the four scan orders of its stage
 (`four_orders`). Paths follow the checkpoint convention
 `<stage>.<level>.<block>.<param>` once the model prefixes them.
 
-Head/Tail inside every block are 3x3 convolutions mapping the channel count
-down/up by a factor of 8, clamped so the bottleneck never drops below 8
-channels.
+LFSE, HFSE and HLFD open with a 3x3 `head` conv mapping C channels down by 8
+(to at least 8) and close with a 3x3 `tail` conv mapping them back up. The
+caller runs `head`, so it can drop the block's input; a whole block is
+`fwd(head(x, pv), pv, orders)`.
 """
 
 from __future__ import annotations
@@ -79,6 +80,11 @@ def _s6_specs(path, d, n):
 
 def _conv(x, pv, name, dilation=1):
     return ops.conv2d(x, pv[f"{name}.w"], pv[f"{name}.b"], dilation)
+
+
+def head(x: Tensor, pv: ParamView) -> Tensor:
+    """An LFSE, HFSE or HLFD block's channel-reducing head conv."""
+    return _conv(x, pv, "head")
 
 
 def _ln(x, pv, name):
@@ -171,10 +177,10 @@ def lfse_specs(c: int, n: int):
     return specs
 
 
-def lfse_forward(x: Tensor, pv: ParamView, orders: list[ScanOrder]) -> Tensor:
-    """Channel-reduce, then gate a channel-attention branch against a VSSM
-    branch (sigmoid each, Hadamard), residual to the reduced feature."""
-    xp = _conv(x, pv, "head")
+def lfse_forward(xp: Tensor, pv: ParamView, orders: list[ScanOrder]) -> Tensor:
+    """On the head's output `xp`: gate a channel-attention branch against a
+    VSSM branch (sigmoid each, Hadamard), residual to the reduced feature,
+    channel-restore."""
     br_ca = ops.channel_attention(xp, pv["ca.w1"], pv["ca.w2"], pv["ca.b1"], pv["ca.b2"])
     br_vssm = vssm_forward(xp, pv.sub("vssm"), orders)
     prod = T.mul(T.sigmoid(br_ca), T.sigmoid(br_vssm))
@@ -199,10 +205,10 @@ def hfse_specs(c: int, n: int):
     return specs
 
 
-def hfse_forward(x: Tensor, pv: ParamView, orders: list[ScanOrder]) -> Tensor:
-    """Global branch (conv -> LN -> VSSM) soft-gated against two dilated
-    local branches read off a shared 5x5 depthwise feature."""
-    xp = _conv(x, pv, "head")
+def hfse_forward(xp: Tensor, pv: ParamView, orders: list[ScanOrder]) -> Tensor:
+    """On the head's output `xp`: a global branch (conv -> LN -> VSSM)
+    soft-gated against two dilated local branches read off a shared 5x5
+    depthwise feature, residual, channel-restore."""
     g = vssm_forward(_ln(_conv(xp, pv, "g_conv"), pv, "g_ln"), pv.sub("vssm"), orders)
     local = _conv(xp, pv, "dw5")
     x21 = _conv(local, pv, "dil1")
@@ -227,11 +233,11 @@ def hlfd_specs(c: int, n: int):
     return specs
 
 
-def hlfd_forward(y: Tensor, pv: ParamView, orders: list[ScanOrder]) -> Tensor:
-    """Split the reduced feature into a VSSM half and a depthwise-separable
-    conv half, concat, fuse with a 3x3 conv, residual, channel-restore."""
-    half = inner_channels(y.shape[0]) // 2
-    yp = _conv(y, pv, "head")
+def hlfd_forward(yp: Tensor, pv: ParamView, orders: list[ScanOrder]) -> Tensor:
+    """On the head's output `yp`: split it into a VSSM half and a
+    depthwise-separable conv half, concat, fuse with a 3x3 conv, residual,
+    channel-restore."""
+    half = yp.shape[0] // 2
     y1 = T.narrow(yp, 0, 0, half)
     y2 = T.narrow(yp, 0, half, half)
     y1 = vssm_forward(y1, pv.sub("vssm"), orders)

@@ -166,7 +166,8 @@ def degrade(cube: HsiCube, scale: int) -> HsiCube:
 def synth_cube(seed: int, bands: int, height: int, width: int,
                smoothness: float = 1.0) -> HsiCube:
     """Sum of random smooth 2D Gaussians with slowly varying band profiles;
-    adjacent bands correlate strongly; values normalized to [0, 1]."""
+    adjacent bands correlate strongly; values normalized to [0, 1]. Built
+    as one float64 cube, normalised in place and cast to float32."""
     if min(bands, height, width) < 1 or min(height, width) < 4:
         raise ContractViolation("synth_cube needs spatial dims >= 4")
     if not 0 < smoothness < np.inf:  # also rejects NaN
@@ -188,7 +189,8 @@ def synth_cube(seed: int, bands: int, height: int, width: int,
         prof[:, b] = prof[:, b - 1] * (1.0 + 0.05 * rng.standard_normal(n_blobs))
     cube = np.einsum("kb,khw->bhw", np.abs(prof), blobs)
     lo, hi = cube.min(), cube.max()
-    cube = (cube - lo) / max(hi - lo, 1e-12)
+    cube -= lo  # in place: one float64 cube, then the float32 output
+    cube /= max(hi - lo, 1e-12)
     return HsiCube(data=cube.astype(np.float32), value_range=(0.0, 1.0))
 
 

@@ -25,18 +25,25 @@ PSNR_CAP_DB = 99.0
 SSIM_WINDOW = 8
 
 
-def _as_cube_array(x) -> np.ndarray:
-    arr = np.asarray(x.data if isinstance(x, HsiCube) else x, dtype=np.float64)
+def _as_cube_array(x, dtype) -> np.ndarray:
+    arr = np.asarray(x.data if isinstance(x, HsiCube) else x, dtype=dtype)
     if arr.ndim != 3:
         raise ContractViolation("metrics expect (C, H, W) cubes")
     return arr
 
 
-def check_pair(x, y):
-    a, b = _as_cube_array(x), _as_cube_array(y)
+def check_pair(x, y, dtype=np.float64):
+    """Both cubes as arrays of `dtype` (None keeps their own), same shape."""
+    a, b = _as_cube_array(x, dtype), _as_cube_array(y, dtype)
     if a.shape != b.shape:
         raise ContractViolation(f"shape mismatch {a.shape} vs {b.shape}")
     return a, b
+
+
+def _band_mse(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-band MSE, cast to float64 a band at a time, not a cube at a time."""
+    return np.array([((np.asarray(ba, np.float64) - bb) ** 2).mean()
+                     for ba, bb in zip(a, b)])
 
 
 @dataclass
@@ -53,8 +60,7 @@ class MetricReport:
 def psnr(x, y, peak: float = 1.0) -> float:
     if peak <= 0:
         raise ContractViolation("peak must be positive")
-    a, b = check_pair(x, y)
-    mse = ((a - b) ** 2).mean(axis=(1, 2))
+    mse = _band_mse(*check_pair(x, y, None))
     vals = np.where(
         mse > 0,
         10.0 * np.log10(peak**2 / np.where(mse > 0, mse, 1.0)),
@@ -125,12 +131,12 @@ def sam(x, y) -> float:
 
 
 def ergas(x_ref, y_est, scale: int) -> float:
-    a, b = check_pair(x_ref, y_est)
-    mu = a.mean(axis=(1, 2))
+    a, b = check_pair(x_ref, y_est, None)
+    mu = np.array([np.asarray(band, np.float64).mean() for band in a])
     zero = np.flatnonzero(mu == 0)
     if zero.size:
         raise NumericError(f"ergas: reference band {int(zero[0])} has zero mean")
-    mse = ((a - b) ** 2).mean(axis=(1, 2))
+    mse = _band_mse(a, b)
     return float(100.0 / scale * np.sqrt((mse / mu**2).mean()))
 
 

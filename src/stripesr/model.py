@@ -15,9 +15,13 @@ Odd spatial dims are reflect-padded before each DWT and cropped after the
 matching IWT. A NumericError raised inside a block, or by the finiteness
 check on each block's output, names the block path (`enc.1.hfse.0: ...`);
 a non-finite value from a model-level op (conv, DWT, IWT, pad, crop) is
-reported by the next block or by the check on the final output. The
-forward drops its reference to each map once that map is finished, so an
-untaped pass frees it; a tape keeps its own references. Weights
+reported by the next block or by the check on the final output; numpy's
+overflow and invalid-value warnings are silenced in the forward, so these
+checks report them. The forward drops its reference to each map once that
+map is finished, so an untaped pass frees it; a tape keeps its own
+references. It runs each block's head conv itself, so a block's full-width
+input (both wavelet halves at an encoder level) is freed before the rest of
+the block runs, and X_up is recomputed for the final add. Weights
 live in a flat path -> array dict; the checkpoint container is the binary
 HSRW format (byte-exact roundtrip).
 """
@@ -153,12 +157,17 @@ def _crop(x: Tensor, dims: tuple[int, int]) -> Tensor:
     return T._record_unary(x, x.data[:, :h, :wd].copy(), lambda g: np.pad(g, pad))
 
 
-def _stage(x: Tensor, params, path: str, fwd, cfg: ModelConfig) -> Tensor:
+def _head(x: Tensor, params, path: str) -> Tensor:
+    return blocks.head(x, ParamView(params, path + "."))
+
+
+def _stage(xp: Tensor, params, path: str, fwd, cfg: ModelConfig) -> Tensor:
     """The stage's one block `fwd` at `path` (`enc.1.hfse.0`: paths keep the
-    `.0` that checkpoint names use), scanning along its grid's four orders."""
-    orders = blocks.four_orders(cfg.scan_kind, cfg.stripe, *x.shape[1:])
+    `.0` that checkpoint names use) after its head, scanning along its
+    grid's four orders."""
+    orders = blocks.four_orders(cfg.scan_kind, cfg.stripe, *xp.shape[1:])
     try:
-        x = fwd(x, ParamView(params, path + "."), orders)
+        x = fwd(xp, ParamView(params, path + "."), orders)
     except NumericError as exc:
         raise NumericError(f"{path}: {exc}") from exc
     if not np.isfinite(x.data).all():
@@ -166,6 +175,9 @@ def _stage(x: Tensor, params, path: str, fwd, cfg: ModelConfig) -> Tensor:
     return x
 
 
+# overflow and NaN surface through the finiteness checks, which name the
+# block, rather than as numpy warnings
+@np.errstate(over="ignore", invalid="ignore")
 def forward(x_lr: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
     """Super-resolve one (C, h, w) cube to (C, s*h, s*w)."""
     if x_lr.shape[0] != cfg.bands:
@@ -175,31 +187,33 @@ def forward(x_lr: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor
     if not np.all(np.isfinite(x_lr.data)):
         raise NumericError("forward: input contains non-finite values")
 
-    x_up = ops.bicubic_resize(x_lr, cfg.scale)
     pv = ParamView(params)
-    cur = ops.conv2d(x_up, pv["global.head.w"], pv["global.head.b"])
+    cur = ops.conv2d(ops.bicubic_resize(x_lr, cfg.scale),
+                     pv["global.head.w"], pv["global.head.b"])
+    cur = _head(cur, params, "enc.0.lfse.0")
     cur = _stage(cur, params, "enc.0.lfse.0", blocks.lfse_forward, cfg)
 
-    # each map is dropped once finished, so an untaped forward frees it; a
-    # tape keeps its own references
     highs = []
     for i in range(1, cfg.levels + 1):
         cur, dims = _pad_to_even(cur)
         pair = dwt_haar(cur)
         del cur
-        h_out = _stage(pair.high, params, f"enc.{i}.hfse.0", blocks.hfse_forward, cfg)
-        highs.append((h_out, dims))
-        cur = _stage(pair.low, params, f"enc.{i}.lfse.0", blocks.lfse_forward, cfg)
+        h_out = _head(pair.high, params, f"enc.{i}.hfse.0")
+        cur = _head(pair.low, params, f"enc.{i}.lfse.0")
         del pair
+        h_out = _stage(h_out, params, f"enc.{i}.hfse.0", blocks.hfse_forward, cfg)
+        highs.append((h_out, dims))
+        cur = _stage(cur, params, f"enc.{i}.lfse.0", blocks.lfse_forward, cfg)
 
     for i in range(cfg.levels, 0, -1):
         h_out, dims = highs.pop()
         cur = _crop(iwt_haar(WaveletPair(low=cur, high=h_out)), dims)
         del h_out
+        cur = _head(cur, params, f"dec.{i}.hlfd.0")
         cur = _stage(cur, params, f"dec.{i}.hlfd.0", blocks.hlfd_forward, cfg)
 
-    residual = ops.conv2d(cur, pv["global.tail.w"], pv["global.tail.b"])
-    out = T.add(x_up, residual)
+    cur = ops.conv2d(cur, pv["global.tail.w"], pv["global.tail.b"])
+    out = T.add(ops.bicubic_resize(x_lr, cfg.scale), cur)
     if not np.all(np.isfinite(out.data)):
         raise NumericError("forward produced non-finite values")
     return out

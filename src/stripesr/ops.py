@@ -11,6 +11,7 @@ closure returns one gradient per input, and the tape decides which it keeps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,12 +20,32 @@ from . import tensor as T
 from .tensor import Tensor
 
 
+@lru_cache(maxsize=256)
 def _reflect_index(n: int, pad_lo: int, pad_hi: int) -> np.ndarray:
+    """Source index of each padded position (cached, read-only)."""
     idx = np.arange(-pad_lo, n + pad_hi)
     # reflect without repeating the edge sample (numpy 'reflect' mode)
     period = max(2 * n - 2, 1)
     idx = np.abs(idx) % period
-    return np.where(idx >= n, period - idx, idx)
+    idx = np.where(idx >= n, period - idx, idx)
+    idx.setflags(write=False)
+    return idx
+
+
+def _pad_rows(x: np.ndarray, out: np.ndarray, lo: int, pt: int, pl: int,
+              rows: np.ndarray, cols: np.ndarray) -> None:
+    """Write padded rows lo.. of x (source indices `rows`, `cols`) into
+    the (C, n, Wp) array `out` by slice copies, mirroring fold: the
+    interior, each padded row, then each padded column."""
+    h, wd = x.shape[1:]
+    hi = lo + out.shape[1]
+    i0 = min(max(lo, pt), hi)
+    i1 = max(min(hi, pt + h), i0)
+    out[:, i0 - lo : i1 - lo, pl : pl + wd] = x[:, i0 - pt : i1 - pt]
+    for r in (*range(lo, i0), *range(i1, hi)):
+        out[:, r - lo, pl : pl + wd] = x[:, rows[r]]
+    for r in (*range(pl), *range(pl + wd, out.shape[2])):
+        out[:, :, r] = out[:, :, pl + cols[r]]
 
 
 def reflect_pad(x: np.ndarray, pt: int, pb: int, pl: int, pr: int):
@@ -35,14 +56,8 @@ def reflect_pad(x: np.ndarray, pt: int, pb: int, pl: int, pr: int):
     c, h, wd = x.shape
     rows = _reflect_index(h, pt, pb)
     cols = _reflect_index(wd, pl, pr)
-    # slice copies, mirroring fold: the interior, each padded row, then
-    # each padded column from the row-padded interior columns
     xp = np.empty((c, pt + h + pb, pl + wd + pr), x.dtype)
-    xp[:, pt : pt + h, pl : pl + wd] = x
-    for r in (*range(pt), *range(pt + h, xp.shape[1])):
-        xp[:, r, pl : pl + wd] = x[:, rows[r]]
-    for r in (*range(pl), *range(pl + wd, xp.shape[2])):
-        xp[:, :, r] = xp[:, :, pl + cols[r]]
+    _pad_rows(x, xp, 0, pt, pl, rows, cols)
 
     def fold(g):
         # each padded row, then column, adds onto the sample it reflects
@@ -57,7 +72,7 @@ def reflect_pad(x: np.ndarray, pt: int, pb: int, pl: int, pr: int):
     return xp, fold
 
 
-CONV_BLOCK_BYTES = 1 << 20  # size of the conv forward's column buffer
+CONV_BLOCK_BYTES = 1 << 20  # size of the conv forward's column buffer and slab
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None, dilation: int = 1) -> Tensor:
@@ -65,14 +80,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, dilation: int = 1) -> Tensor:
     padding; x (C_in,H,W), w (C_out,C_in/g,kh,kw). The weight fixes the
     kernel and the group count g = C_in / w.shape[1].
 
-    The forward walks blocks of whole output rows, about CONV_BLOCK_BYTES
-    of columns each: it copies the block's kh*kw tap windows of the padded
-    image into one reused (g, kh*kw*C_in/g, rows*W) column buffer and runs
-    one GEMM, batched over groups, straight into the block's rows of the
-    output (the blocked im2col of Vasudevan, Anderson & Gregg 2017). No
-    full-size accumulator or patch copy is built. Backward runs one GEMM
-    per tap (i, j) for each gradient, on the slice of the flat padded image
-    at offset (i*Wp + j)*dilation, with rows at the padded width Wp."""
+    The forward reflect-pads a band of input rows at a time into one reused
+    slab, then walks its blocks of whole output rows, about CONV_BLOCK_BYTES
+    of columns each: it copies the block's kh*kw tap windows into one reused
+    (g, kh*kw*C_in/g, rows*W) column buffer and runs one GEMM, batched over
+    groups, straight into the block's rows of the output (the blocked im2col
+    of Vasudevan, Anderson & Gregg 2017). A 1x1 conv's columns are x's rows.
+    No padded image, full-size accumulator or patch copy is built. Backward
+    pads x and runs one GEMM per tap (i, j) for each gradient, on the slice
+    of the flat padded image at offset (i*Wp + j)*dilation."""
     c_in, h, wd = x.shape
     c_out, c_in_g, kh, kw = w.shape
     if min(w.shape) < 1 or c_in % c_in_g != 0 or c_out % (c_in // c_in_g) != 0:
@@ -87,34 +103,50 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, dilation: int = 1) -> Tensor:
 
     ekh, ekw = (kh - 1) * dilation + 1, (kw - 1) * dilation + 1
     pt, pl = (ekh - 1) // 2, (ekw - 1) // 2
-    xp, fold = reflect_pad(x.data, pt, ekh - 1 - pt, pl, ekw - 1 - pl)
-    hp, wp = xp.shape[1:]
+    pb, pr = ekh - 1 - pt, ekw - 1 - pl
+    hp, wp = h + ekh - 1, wd + ekw - 1
     taps = [(i, j, (i * wp + j) * dilation) for i in range(kh) for j in range(kw)]
     wg = w.data.reshape(g, c_out // g, c_in_g, kh, kw)
-    dtype = np.result_type(xp, wg)
+    dtype = np.result_type(x.data, wg)
     k = kh * kw * c_in_g
     # column row t*C_in/g + c holds tap t of channel c, as wk's columns do
     wk = wg.transpose(0, 1, 3, 4, 2).reshape(g, c_out // g, k)
     rows = max(1, min(h, CONV_BLOCK_BYTES // (g * k * wd * dtype.itemsize)))
-    cols = np.empty((g, k, rows * wd), dtype)
-    xg = xp.reshape(g, c_in_g, hp, wp)
     out = np.empty((c_out, h, wd), dtype=x.dtype)
     og = out.reshape(g, c_out // g, h * wd)
-    for r0 in range(0, h, rows):
-        r1 = min(r0 + rows, h)
-        blk = cols[..., : (r1 - r0) * wd]
-        taps_view = blk.reshape(g, kh * kw, c_in_g, r1 - r0, wd)
-        for t, (i, j, _) in enumerate(taps):
-            taps_view[:, t] = xg[:, :, r0 + i * dilation : r1 + i * dilation,
-                                 j * dilation : j * dilation + wd]
-        np.matmul(wk, blk, out=og[..., r0 * wd : r1 * wd])
+    if kh == kw == 1:  # the columns are x's own rows
+        xg = x.data.reshape(g, c_in_g, h * wd)
+        for r0 in range(0, h, rows):
+            sl = slice(r0 * wd, (r0 + rows) * wd)
+            np.matmul(wk, xg[..., sl], out=og[..., sl])
+    else:
+        # the slab pads the input of `span` output rows, whole row blocks
+        # in at most CONV_BLOCK_BYTES unless one block needs more
+        fit = CONV_BLOCK_BYTES // (c_in * wp * x.dtype.itemsize) - (ekh - 1)
+        span = max(rows, fit // rows * rows)
+        slab = np.empty((c_in, min(span, h) + ekh - 1, wp), x.dtype)
+        cols = np.empty((g, k, rows * wd), dtype)
+        row_src, col_src = _reflect_index(h, pt, pb), _reflect_index(wd, pl, pr)
+        for s0 in range(0, h, span):
+            n = min(span, h - s0)
+            _pad_rows(x.data, slab[:, : n + ekh - 1], s0, pt, pl, row_src, col_src)
+            sg = slab[:, : n + ekh - 1].reshape(g, c_in_g, n + ekh - 1, wp)
+            for r0 in range(0, n, rows):
+                r1 = min(r0 + rows, n)
+                blk = cols[..., : (r1 - r0) * wd]
+                taps_view = blk.reshape(g, kh * kw, c_in_g, r1 - r0, wd)
+                for t, (i, j, _) in enumerate(taps):
+                    taps_view[:, t] = sg[:, :, r0 + i * dilation : r1 + i * dilation,
+                                         j * dilation : j * dilation + wd]
+                np.matmul(wk, blk, out=og[..., (s0 + r0) * wd : (s0 + r1) * wd])
     if b is not None:
         out += b.data.reshape(c_out, 1, 1)
     m = h * wp - (ekw - 1)  # backward slices end before the last row's wrap-around
-    xf = xp.reshape(g, c_in_g, hp * wp)
 
     def backward(gy):
-        # `xf`, the flat padded input, is the only array kept for backward
+        # only x is kept, not its padded copy
+        xp, fold = reflect_pad(x.data, pt, pb, pl, pr)
+        xf = xp.reshape(g, c_in_g, hp * wp)
         gy_ext = np.pad(gy, ((0, 0), (0, 0), (0, wp - wd)))
         gy_ext = gy_ext.reshape(g, c_out // g, h * wp)[..., :m]
         gw = np.empty(wg.shape, dtype=np.result_type(gy, xf))
@@ -180,8 +212,10 @@ def ca_bottleneck(c: int) -> int:
     return max(c // 4, 1)
 
 
+@lru_cache(maxsize=64)
 def _keys_weights(n_in: int, n_out: int, scale: float, dtype) -> np.ndarray:
-    """Dense (n_out, n_in) row-resampling matrix for the Keys cubic, a=-0.5."""
+    """Dense (n_out, n_in) row-resampling matrix for the Keys cubic, a=-0.5
+    (cached, read-only)."""
     a = -0.5
     mat = np.zeros((n_out, n_in), dtype=np.float64)
     for i in range(n_out):
@@ -196,7 +230,9 @@ def _keys_weights(n_in: int, n_out: int, scale: float, dtype) -> np.ndarray:
             else:
                 continue
             mat[i, min(max(m, 0), n_in - 1)] += wgt
-    return mat.astype(dtype)
+    mat = mat.astype(dtype)
+    mat.setflags(write=False)
+    return mat
 
 
 def bicubic_resize(x: Tensor, scale: float) -> Tensor:

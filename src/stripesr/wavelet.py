@@ -5,10 +5,11 @@ Per non-overlapping 2x2 block (a b / c d):
     LL = (a+b+c+d)/2   LH = (a-b+c-d)/2
     HL = (a+b-c-d)/2   HH = (a-b-c+d)/2
 
-The 4x4 mixing matrix is symmetric and involutory, so synthesis and both
-backwards are the same mix between one phase split and one join. High bands
-are concatenated along the channel axis as [LH | HL | HH]. The DWT records
-low and high as two ops on its input; the tape sums their gradients.
+The 4x4 mixing matrix is symmetric and involutory, so analysis, synthesis
+and both backwards are one mix, written straight into the DWT's low and
+high arrays or, through a block-sized scratch, the IWT output's phase views.
+High bands are stacked along the channel axis as [LH | HL | HH]. The DWT
+records low and high as two ops on its input; the tape sums their gradients.
 """
 
 from __future__ import annotations
@@ -28,13 +29,10 @@ class WaveletPair:
     high: Tensor  # (3C, H/2, W/2), [LH | HL | HH]
 
 
-def _haar_mix(a, b, c, d):
-    return (
-        (a + b + c + d) * 0.5,
-        (a - b + c - d) * 0.5,
-        (a + b - c - d) * 0.5,
-        (a - b - c + d) * 0.5,
-    )
+# how b, c and d enter LL, LH, HL and HH; a always enters with +
+_TERMS = ((np.add, np.add, np.add), (np.subtract, np.add, np.subtract),
+          (np.add, np.subtract, np.subtract), (np.subtract, np.subtract, np.add))
+MIX_BLOCK_BYTES = 1 << 20  # bytes of one band's channels mixed per step
 
 
 def _phases(x):
@@ -42,12 +40,40 @@ def _phases(x):
     return x[:, 0::2, 0::2], x[:, 0::2, 1::2], x[:, 1::2, 0::2], x[:, 1::2, 1::2]
 
 
-def _join(a, b, c, d):
-    """Interleave four (C, h, w) phases into a fresh (C, 2h, 2w) array."""
-    ch, h, w = a.shape
-    out = np.empty((ch, 2 * h, 2 * w), dtype=a.dtype)
-    for view, phase in zip(_phases(out), (a, b, c, d)):
-        view[...] = phase
+def _mix(src, dst) -> None:
+    """Write ((a +- b) +- c) +- d, times 1/2, for the four (C, h, w) arrays
+    src = (a, b, c, d) into the four arrays `dst`, MIX_BLOCK_BYTES of
+    channels at a time. A strided destination is filled from a contiguous
+    scratch, which is faster than mixing through its strides."""
+    step = max(1, MIX_BLOCK_BYTES // max(dst[0][:1].nbytes, 1))
+    scratch = np.empty((step, *dst[0].shape[1:]), dst[0].dtype)
+    for c0 in range(0, len(src[0]), step):
+        a, b, c, d = (s[c0 : c0 + step] for s in src)
+        for out, (op_b, op_c, op_d) in zip(dst, _TERMS):
+            out = out[c0 : c0 + step]
+            buf = out if out.flags.c_contiguous else scratch[: len(out)]
+            op_b(a, b, out=buf)
+            op_c(buf, c, out=buf)
+            op_d(buf, d, out=buf)
+            buf *= 0.5
+            if buf is not out:
+                out[...] = buf
+
+
+def _analyse(x: np.ndarray):
+    """(low, high) of an even (C, H, W) array."""
+    ch, h, w = x.shape
+    low, high = (np.empty((n, h // 2, w // 2), np.result_type(x, 0.5))
+                 for n in (ch, 3 * ch))
+    _mix(_phases(x), (low, *np.split(high, 3)))
+    return low, high
+
+
+def _synthesise(low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """The (C, 2h, 2w) array whose analysis is (low, high)."""
+    ch, h, w = low.shape
+    out = np.empty((ch, 2 * h, 2 * w), np.result_type(low, high, 0.5))
+    _mix((low, *np.split(high, 3)), _phases(out))
     return out
 
 
@@ -55,11 +81,11 @@ def dwt_haar(x: Tensor) -> WaveletPair:
     _, h, w = x.shape
     if h % 2 or w % 2:
         raise ContractViolation(f"dwt_haar requires even dims, got {h}x{w}")
-    ll, lh, hl, hh = _haar_mix(*_phases(x.data))
+    ll, hi = _analyse(x.data)
     # LL is half the sum of the four phases, so each gets half its gradient
-    low = T._record_unary(x, ll, lambda g: _join(*[g * 0.5] * 4))
-    high = T._record_unary(x, np.concatenate([lh, hl, hh]),
-                           lambda g: _join(*_haar_mix(0.0, *np.split(g, 3))))
+    low = T._record_unary(x, ll, lambda g: (g * 0.5).repeat(2, 1).repeat(2, 2))
+    high = T._record_unary(
+        x, hi, lambda g: _synthesise(np.zeros_like(g[: len(g) // 3]), g))
     return WaveletPair(low, high)
 
 
@@ -71,10 +97,5 @@ def iwt_haar(p: WaveletPair) -> Tensor:
         )
     if p.high.shape[1:] != p.low.shape[1:]:
         raise ContractViolation("iwt_haar: low/high spatial dims disagree")
-    out = _join(*_haar_mix(p.low.data, *np.split(p.high.data, 3)))
-
-    def backward(g):
-        gll, glh, ghl, ghh = _haar_mix(*_phases(g))
-        return gll, np.concatenate([glh, ghl, ghh])
-
-    return T.record(out, (p.low, p.high), backward)
+    out = _synthesise(p.low.data, p.high.data)
+    return T.record(out, (p.low, p.high), _analyse)

@@ -12,6 +12,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from stripesr import blocks
 from stripesr.model import ModelConfig, _init_array
 
 
@@ -30,6 +31,12 @@ def init_param_dict(specs, seed=0, dtype=np.float64):
     g = np.random.default_rng(seed)
     return {name: _init_array(shape, kind, g).astype(dtype)
             for name, shape, kind in specs}
+
+
+def whole_block(fwd):
+    """`fwd` (lfse_forward, hfse_forward or hlfd_forward) as a model stage
+    runs it: the block's head conv on x, then `fwd` on the head's output."""
+    return lambda x, pv, orders: fwd(blocks.head(x, pv), pv, orders)
 
 
 def absurd_shape_checkpoint(shape) -> bytes:
@@ -67,6 +74,14 @@ def traced_peak(fn):
         return fn(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def peak_maps(fn, h, w):
+    """Call `fn()` with tracemalloc on; return its result and the peak
+    traced while it ran, in 64-channel float32 h x w maps (the model's
+    feature maps at HR h x w)."""
+    out, peak = traced_peak(fn)
+    return out, peak / (64 * h * w * 4)
 
 
 def conv2d_oracle(x, w, b, kernel, stride=1, dilation=1, groups=1,

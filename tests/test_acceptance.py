@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import init_param_dict, rel_err, rng, s6_oracle
+from conftest import init_param_dict, rel_err, rng, s6_oracle, whole_block
 from stripesr import cli
 from stripesr import tensor as T
 from stripesr.blocks import (
@@ -66,6 +66,9 @@ from stripesr.scan import (
 from stripesr.tensor import Tensor
 from stripesr.train import TrainConfig, train, write_loss_csv
 from stripesr.wavelet import WaveletPair, dwt_haar, iwt_haar
+
+# each block on its full-width input, as a model stage runs it
+lfse, hfse, hlfd = map(whole_block, (lfse_forward, hfse_forward, hlfd_forward))
 
 
 @contextlib.contextmanager
@@ -296,9 +299,9 @@ def test_criterion_04_gradient_checks(capsys):
 
         # composite blocks, input gradients
         for fwd, specs in ((vssm_forward, vssm_specs(4, 2)),
-                           (lfse_forward, lfse_specs(8, 2)),
-                           (hfse_forward, hfse_specs(8, 2)),
-                           (hlfd_forward, hlfd_specs(8, 2))):
+                           (lfse, lfse_specs(8, 2)),
+                           (hfse, hfse_specs(8, 2)),
+                           (hlfd, hlfd_specs(8, 2))):
             raw = init_param_dict(specs, seed=3)
             c = raw["head.w"].shape[1] if "head.w" in raw else 4
             xin = g.normal(size=(c, 4, 4)) * 0.5
@@ -316,7 +319,7 @@ def test_criterion_04_gradient_checks(capsys):
             params = {k: (t if k == "alpha" else _t64(v))
                       for k, v in raw_h.items()}
             return T.reduce_mean(T.sigmoid(
-                hfse_forward(_t64(xh), ParamView(params), orders4)))
+                hfse(_t64(xh), ParamView(params), orders4)))
         chk(fh, raw_h["alpha"].copy(), eps=1e-4)
 
         # full micro model, gradients w.r.t. weights

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import conv2d_oracle, init_param_dict, rel_err, rng
+from conftest import conv2d_oracle, init_param_dict, rel_err, rng, whole_block
 from stripesr import tensor as T
 from stripesr.blocks import (
     CHANNEL_SCALING,
@@ -26,6 +26,10 @@ from stripesr.blocks import (
 from stripesr.errors import ContractViolation
 from stripesr.scan import KINDS, make_order
 from stripesr.tensor import Tensor
+
+# each block on its full-width input, as a model stage runs it
+lfse, hfse, hlfd = map(whole_block, (lfse_forward, hfse_forward, hlfd_forward))
+
 
 def _orders(x, kind="stripe"):
     """The four orders a model stage builds for `x`'s grid, stripes of 2."""
@@ -177,7 +181,7 @@ class TestVssm:
 
 class TestLfse:
     def test_shape_preserved(self):
-        out, _ = run_block(lfse_forward, lfse_specs(64, 4),
+        out, _ = run_block(lfse, lfse_specs(64, 4),
                            rng(8).normal(size=(64, 6, 6)))
         assert out.shape == (64, 6, 6)
 
@@ -196,7 +200,7 @@ class TestLfse:
             "vssm.out_proj.w": np.zeros((inner, 2 * inner, 1, 1)),
             "vssm.out_proj.b": np.zeros(inner),
         }
-        out, raw = run_block(lfse_forward, lfse_specs(c, 2), x, seed=10,
+        out, raw = run_block(lfse, lfse_specs(c, 2), x, seed=10,
                              override=zero)
         xp = conv2d_oracle(x, raw["head.w"], raw["head.b"], (3, 3))
         mixed = _sigmoid(0.5 * xp) * _sigmoid(xp) + xp
@@ -210,14 +214,14 @@ class TestLfse:
         def f(t):
             params = {k: _t64(v) for k, v in raw.items()}
             return T.reduce_mean(T.sigmoid(
-                lfse_forward(t, ParamView(params), _orders(t))))
+                lfse(t, ParamView(params), _orders(t))))
 
         assert T.grad_check(f, x) < 2e-3
 
 
 class TestHfse:
     def test_shape_preserved(self):
-        out, _ = run_block(hfse_forward, hfse_specs(24, 4),
+        out, _ = run_block(hfse, hfse_specs(24, 4),
                            rng(13).normal(size=(24, 6, 6)))
         assert out.shape == (24, 6, 6)
 
@@ -234,7 +238,7 @@ class TestHfse:
             params = {k: (t if k == "alpha" else _t64(v))
                       for k, v in raw.items()}
             return T.reduce_mean(T.sigmoid(
-                hfse_forward(_t64(x), ParamView(params), _orders(x))))
+                hfse(_t64(x), ParamView(params), _orders(x))))
 
         tape = T.Tape()
         a = tape.leaf(raw["alpha"])
@@ -253,7 +257,7 @@ class TestHfse:
         zero = {"vssm.out_proj.w": np.zeros((inner, 2 * inner, 1, 1)),
                 "vssm.out_proj.b": np.zeros(inner),
                 "alpha": np.array([alpha])}
-        out, raw = run_block(hfse_forward, hfse_specs(c, 2), x, seed=24,
+        out, raw = run_block(hfse, hfse_specs(c, 2), x, seed=24,
                              override=zero)
         xp = conv2d_oracle(x, raw["head.w"], raw["head.b"], (3, 3))
         gc = conv2d_oracle(xp, raw["g_conv.w"], raw["g_conv.b"], (3, 3))
@@ -275,14 +279,14 @@ class TestHfse:
         def f(t):
             params = {k: _t64(v) for k, v in raw.items()}
             return T.reduce_mean(T.sigmoid(
-                hfse_forward(t, ParamView(params), _orders(t))))
+                hfse(t, ParamView(params), _orders(t))))
 
         assert T.grad_check(f, x) < 2e-3
 
 
 class TestHlfd:
     def test_shape_preserved(self):
-        out, _ = run_block(hlfd_forward, hlfd_specs(32, 4),
+        out, _ = run_block(hlfd, hlfd_specs(32, 4),
                            rng(18).normal(size=(32, 6, 6)))
         assert out.shape == (32, 6, 6)
 
@@ -293,7 +297,7 @@ class TestHlfd:
         x = rng(19).normal(size=(c, 4, 4)) * 0.5
         zero = {"fuse.w": np.zeros((inner, inner, 3, 3)),
                 "fuse.b": np.zeros(inner)}
-        out, raw = run_block(hlfd_forward, hlfd_specs(c, 2), x, seed=20,
+        out, raw = run_block(hlfd, hlfd_specs(c, 2), x, seed=20,
                              override=zero)
         yp = conv2d_oracle(x, raw["head.w"], raw["head.b"], (3, 3))
         want = conv2d_oracle(yp, raw["tail.w"], raw["tail.b"], (3, 3))
@@ -306,7 +310,7 @@ class TestHlfd:
         def f(t):
             params = {k: _t64(v) for k, v in raw.items()}
             return T.reduce_mean(T.sigmoid(
-                hlfd_forward(t, ParamView(params), _orders(t))))
+                hlfd(t, ParamView(params), _orders(t))))
 
         assert T.grad_check(f, x) < 2e-3
 

@@ -319,6 +319,23 @@ class TestNonFiniteInput:
                    "--out", out) == 0
         assert np.isfinite(read_hsc(out).data).all()
 
+    def test_infer_with_overflowing_weights_exit_1(self, tmp_path, capsys):
+        # `train --lr 1e30` writes weights near 1e30; their forward
+        # overflows, which exits 1 naming a block, with no numpy warning
+        # (an error under this suite) escaping main
+        gt, lr = str(tmp_path / "gt.hsc"), str(tmp_path / "lr.hsc")
+        ckpt, out = str(tmp_path / "m.hsrw"), tmp_path / "x.hsc"
+        assert run("synth", "--seed", "0", "--bands", "8", "--size", "16",
+                   "--out", gt) == 0
+        assert run("degrade", "--in", gt, "--scale", "2", "--out", lr) == 0
+        assert run("train", "--gt", gt, "--scale", "2", "--steps", "1",
+                   "--hidden", "16", "--levels", "1", "--patch", "16",
+                   "--lr", "1e30", "--ckpt", ckpt) == 0
+        capsys.readouterr()
+        assert run("infer", "--in", lr, "--ckpt", ckpt, "--out", str(out)) == 1
+        assert "error: enc.0.lfse.0: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eval_hsc_one_byte_long_exit_2(self, gt_path, tmp_path, capsys):
         size = os.path.getsize(gt_path)
         with open(gt_path, "ab") as fh:

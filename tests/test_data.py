@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import conv2d_oracle, rng
+from conftest import conv2d_oracle, rng, traced_peak
 from stripesr.data import (
     HsiCube,
     atomic_open,
@@ -260,6 +260,12 @@ class TestSynthCube:
         d = synth_cube(0, 2, 32, 32).data[0]
         r = np.corrcoef(d[:, :-1].ravel(), d[:, 1:].ravel())[0, 1]
         assert r > 0.9
+
+    def test_peak_memory_one_float64_cube(self):
+        # one float64 cube, normalised in place, and its float32 output;
+        # the blobs and the grids add 8 + 2 float64 bands, under half a cube
+        out, peak = traced_peak(lambda: synth_cube(0, 31, 64, 64))
+        assert peak <= 1.5 * 31 * 64 * 64 * 8 + out.data.nbytes
 
     def test_tiny_dims_rejected(self):
         with pytest.raises(ContractViolation):

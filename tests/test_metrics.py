@@ -55,6 +55,15 @@ class TestPsnr:
         with pytest.raises(ContractViolation):
             psnr(np.zeros((1, 4, 4)), np.zeros((1, 4, 5)))
 
+    def test_peak_memory_bounded_by_bands(self):
+        # float32 cubes are cast to float64 one band (32 KiB) at a time; a
+        # whole-cube cast of both would be 62 bands
+        g = rng(3)
+        a = g.random((31, 64, 64), dtype=np.float32)
+        b = g.random((31, 64, 64), dtype=np.float32)
+        _, peak = traced_peak(lambda: psnr(a, b))
+        assert peak < 4 * 64 * 64 * 8
+
 
 class TestSsim:
     def test_identical_inputs_are_one(self):

@@ -10,7 +10,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from conftest import ABSURD_SHAPES, absurd_shape_checkpoint, rng, traced_peak
+from conftest import ABSURD_SHAPES, absurd_shape_checkpoint, peak_maps, rng
 from stripesr import blocks, ops
 from stripesr import tensor as T
 from stripesr.errors import ContractViolation, FormatError, NumericError
@@ -27,7 +27,7 @@ from stripesr.model import (
     save_checkpoint,
 )
 from stripesr.ops import bicubic_resize
-from stripesr.tensor import Tensor
+from stripesr.tensor import Tape, Tensor
 
 MICRO = ModelConfig(bands=4, scale=2, hidden=16, levels=1, stripe=4, state=4,
                     seed=0)
@@ -145,15 +145,27 @@ class TestForward:
         assert out.shape == (4, 18, 14)
 
     def test_untaped_infer_peak_memory(self):
-        # the default model at HR 256: finished maps are dropped, conv2d
-        # writes row blocks into its output and ss2d scans in place, so the
-        # peak stays below 4.5 HR maps of 64 channels
+        # the default model at HR 256: finished maps and each block's input
+        # are dropped, X_up is recomputed, conv2d pads row blocks into its
+        # output and ss2d scans in place, so the peak, in enc.0's scan
+        # merge, stays below 3 HR maps of 64 channels
         cfg = ModelConfig(bands=31, scale=4)
         weights = init_weights(cfg)
         x = rng(8).random((31, 64, 64)).astype(np.float32)
-        out, peak = traced_peak(lambda: infer(x, weights))
+        out, maps = peak_maps(lambda: infer(x, weights), 256, 256)
         assert out.shape == (31, 256, 256)
-        assert peak < 4.5 * 64 * 256 * 256 * 4
+        assert maps < 3.0
+
+    def test_untaped_infer_on_odd_dims_matches_taped(self):
+        # 31x33x35 pads and crops at both levels; dropping references must
+        # not change a bit against the taped forward, which keeps them all
+        cfg = ModelConfig(bands=31, scale=2, hidden=16, levels=2, state=4)
+        weights = init_weights(cfg)
+        x = rng(9).random((31, 33, 35)).astype(np.float32)
+        taped = forward(Tensor(x), weights.as_tensors(Tape()), cfg)
+        out = infer(x, weights)
+        assert out.shape == (31, 66, 70)
+        np.testing.assert_array_equal(out.data, taped.data)
 
     def test_band_mismatch_rejected(self):
         with pytest.raises(ContractViolation):

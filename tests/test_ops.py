@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import conv2d_oracle, rel_err, rng, traced_peak
+from conftest import conv2d_oracle, peak_maps, rel_err, rng
 from stripesr import ops, tensor as T
 from stripesr.errors import ContractViolation
 from stripesr.ops import OptState
@@ -189,25 +189,29 @@ class TestConv2d:
         assert T.grad_check(lambda t: loss_of(_t64(x), t), w) < 1e-6
 
     def test_forward_peak_memory_bounded_by_input(self):
-        # the padded image, the output and one row block of columns; a
-        # (C_in*kh*kw, H*W) column copy would be 9x the input
+        # x is one 64-channel map; the output, one slab and one row block
+        # of columns stay below 4, where a (C_in*kh*kw, H*W) column copy
+        # would be 9
         g = rng(6)
         x = g.normal(size=(64, 128, 128)).astype(np.float32)
         w = g.normal(size=(8, 64, 3, 3)).astype(np.float32)
         b = np.zeros(8, dtype=np.float32)
-        _, peak = traced_peak(lambda: ops.conv2d(Tensor(x), Tensor(w), Tensor(b)))
-        assert peak < 4 * x.nbytes
+        _, maps = peak_maps(
+            lambda: ops.conv2d(Tensor(x), Tensor(w), Tensor(b)), 128, 128)
+        assert maps < 4
 
     def test_forward_writes_rows_straight_into_output(self):
-        # 8 -> 64 at 256^2: no output-sized accumulator, crop copy or
-        # per-tap temporary beside the output, only one row block of columns
+        # 8 -> 64 at 256^2, x allocated before tracing: no padded image,
+        # output-sized accumulator, crop copy or per-tap temporary beside
+        # the output (1 map), only one slab and one row block of columns
+        # (2 MiB, 1/8 map)
         g = rng(7)
         x = g.normal(size=(8, 256, 256)).astype(np.float32)
         w = g.normal(size=(64, 8, 3, 3)).astype(np.float32)
         b = np.zeros(64, dtype=np.float32)
-        out, peak = traced_peak(lambda: ops.conv2d(Tensor(x), Tensor(w), Tensor(b)))
-        padded = 8 * 258 * 258 * 4
-        assert peak < x.nbytes + padded + out.data.nbytes + 2 * 2**20
+        _, maps = peak_maps(
+            lambda: ops.conv2d(Tensor(x), Tensor(w), Tensor(b)), 256, 256)
+        assert maps < 1 + 1 / 8
 
     def test_group_mismatch_rejected(self):
         # the weight's C_in/g must divide C_in, and g must divide C_out
