@@ -9,11 +9,13 @@ ParamView holding those tensors and the four scan orders of its stage
 LFSE, HFSE and HLFD open with a 3x3 `head` conv mapping C channels down by 8
 (to at least 8) and close with a 3x3 `tail` conv mapping them back up. The
 caller runs `head`, so it can drop the block's input; a whole block is
-`fwd(head(x, pv), pv, orders)`.
+`fwd(head(x, pv), pv, orders)`. A block's specs name its parameters
+relative to the block; `nest` puts them under the block's path.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from functools import lru_cache
 
 from .errors import ContractViolation
@@ -48,6 +50,11 @@ class ParamView:
 
     def sub(self, name: str) -> "ParamView":
         return ParamView(self.params, self.prefix + name + ".")
+
+
+def nest(prefix: str, specs):
+    """`specs` with each path put under `prefix`, in the same order."""
+    return [(f"{prefix}.{path}", shape, kind) for path, shape, kind in specs]
 
 
 def inner_channels(c: int) -> int:
@@ -93,18 +100,14 @@ def _ln(x, pv, name):
 
 def _s6_params(pv, name, k):
     p = pv.sub(f"{name}.{k}")
-    return S6Params(
-        a_log=p["a_log"], d_skip=p["d_skip"], w_b=p["w_b"], w_c=p["w_c"],
-        w_dt_down=p["w_dt_down"], w_dt_up=p["w_dt_up"], b_dt=p["b_dt"],
-    )
+    return S6Params(**{f.name: p[f.name] for f in dataclasses.fields(S6Params)})
 
 
 # ---------------------------------------------------------------- VSSM
 
 def vssm_specs(c: int, n: int):
     d_inner = 2 * c
-    specs = []
-    specs += _ln_specs("ln_in", c)
+    specs = _ln_specs("ln_in", c)
     specs += _conv_specs("in_proj", c, d_inner, 1)
     specs += _conv_specs("dw", d_inner, d_inner, 3, groups=d_inner)
     for k in range(4):
@@ -163,16 +166,14 @@ def gate_weights(alpha: float) -> tuple[float, float]:
 def lfse_specs(c: int, n: int):
     inner = inner_channels(c)
     hidden = ops.ca_bottleneck(inner)
-    specs = []
-    specs += _conv_specs("head", c, inner, 3)
+    specs = _conv_specs("head", c, inner, 3)
     specs += [
         ("ca.w1", (hidden, inner), "fan_in"),
         ("ca.b1", (hidden,), "zeros"),
         ("ca.w2", (inner, hidden), "fan_in"),
         ("ca.b2", (inner,), "zeros"),
     ]
-    for path, shape, kind in vssm_specs(inner, n):
-        specs.append((f"vssm.{path}", shape, kind))
+    specs += nest("vssm", vssm_specs(inner, n))
     specs += _conv_specs("tail", inner, c, 3)
     return specs
 
@@ -191,12 +192,10 @@ def lfse_forward(xp: Tensor, pv: ParamView, orders: list[ScanOrder]) -> Tensor:
 
 def hfse_specs(c: int, n: int):
     inner = inner_channels(c)
-    specs = []
-    specs += _conv_specs("head", c, inner, 3)
+    specs = _conv_specs("head", c, inner, 3)
     specs += _conv_specs("g_conv", inner, inner, 3)
     specs += _ln_specs("g_ln", inner)
-    for path, shape, kind in vssm_specs(inner, n):
-        specs.append((f"vssm.{path}", shape, kind))
+    specs += nest("vssm", vssm_specs(inner, n))
     specs += _conv_specs("dw5", inner, inner, 5, groups=inner)
     specs += _conv_specs("dil1", inner, inner, 3)
     specs += _conv_specs("dil2", inner, inner, 3)
@@ -222,10 +221,8 @@ def hfse_forward(xp: Tensor, pv: ParamView, orders: list[ScanOrder]) -> Tensor:
 def hlfd_specs(c: int, n: int):
     inner = inner_channels(c)
     half = inner // 2
-    specs = []
-    specs += _conv_specs("head", c, inner, 3)
-    for path, shape, kind in vssm_specs(half, n):
-        specs.append((f"vssm.{path}", shape, kind))
+    specs = _conv_specs("head", c, inner, 3)
+    specs += nest("vssm", vssm_specs(half, n))
     specs += _conv_specs("ds_dw", half, half, 3, groups=half)
     specs += _conv_specs("ds_pw", half, half, 1)
     specs += _conv_specs("fuse", inner, inner, 3)

@@ -21,18 +21,14 @@ from .train import TrainConfig, sample_patches, train as run_train, write_loss_c
 from .scan import KINDS, make_order
 
 
-def _positive_int(value):
-    iv = int(value)
-    if iv < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return iv
-
-
-def _non_negative_int(value):
-    iv = int(value)
-    if iv < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return iv
+def _int_at_least(lo):
+    """An argparse type: an int that is at least `lo`."""
+    def integer(value):
+        iv = int(value)
+        if iv < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return iv
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,11 +42,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic hyperspectral cube")
-    p.add_argument("--seed", type=_non_negative_int, default=0,
+    p.add_argument("--seed", type=_int_at_least(0), default=0,
                    help="RNG seed (default: 0)")
-    p.add_argument("--bands", type=_positive_int, default=8,
+    p.add_argument("--bands", type=_int_at_least(1), default=8,
                    help="spectral bands (default: 8)")
-    p.add_argument("--size", type=_positive_int, default=64,
+    p.add_argument("--size", type=_int_at_least(1), default=64,
                    help="square spatial size (default: 64)")
     p.add_argument("--smoothness", type=float, default=1.0,
                    help="spatial blob scale factor (default: 1.0)")
@@ -65,30 +61,30 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train on patches cut from a GT cube")
     p.add_argument("--gt", required=True, help="ground-truth HSC path")
     p.add_argument("--scale", type=int, choices=hsd.SCALES, required=True)
-    p.add_argument("--steps", type=_positive_int, default=200,
+    p.add_argument("--steps", type=_int_at_least(1), default=200,
                    help="optimizer steps (default: 200)")
     p.add_argument("--ckpt", required=True, help="output checkpoint (HSRW)")
-    p.add_argument("--hidden", type=_positive_int, default=mdef["hidden"],
+    p.add_argument("--hidden", type=_int_at_least(1), default=mdef["hidden"],
                    help="hidden channels D (default: %(default)s)")
-    p.add_argument("--levels", type=_positive_int, default=mdef["levels"],
+    p.add_argument("--levels", type=_int_at_least(1), default=mdef["levels"],
                    help="wavelet U-Net depth K (default: %(default)s)")
-    p.add_argument("--stripe", type=_positive_int, default=mdef["stripe"],
+    p.add_argument("--stripe", type=_int_at_least(1), default=mdef["stripe"],
                    help="stripe length / window size (default: %(default)s)")
-    p.add_argument("--state", type=_positive_int, default=mdef["state"],
+    p.add_argument("--state", type=_int_at_least(1), default=mdef["state"],
                    help="S6 state dim N (default: %(default)s)")
     p.add_argument("--scan", choices=KINDS, default=mdef["scan_kind"],
                    help="scan order kind (default: %(default)s)")
-    p.add_argument("--seed", type=_non_negative_int, default=mdef["seed"],
+    p.add_argument("--seed", type=_int_at_least(0), default=mdef["seed"],
                    help="RNG seed (default: %(default)s)")
     p.add_argument("--lr", type=float, default=tdef["lr"],
                    help="learning rate (default: %(default)s)")
-    p.add_argument("--batch", type=_positive_int, default=tdef["batch"],
+    p.add_argument("--batch", type=_int_at_least(1), default=tdef["batch"],
                    help="batch size (default: %(default)s)")
-    p.add_argument("--patch", type=_positive_int, default=None,
+    p.add_argument("--patch", type=_int_at_least(1), default=None,
                    help="GT patch size (default: 64, or 128 at scale 8)")
-    p.add_argument("--patches", type=_positive_int, default=32,
+    p.add_argument("--patches", type=_int_at_least(1), default=32,
                    help="patches sampled for the epoch pool (default: 32)")
-    p.add_argument("--ckpt-interval", type=_positive_int, default=None,
+    p.add_argument("--ckpt-interval", type=_int_at_least(1), default=None,
                    help="also checkpoint every N steps (default: off)")
     p.add_argument("--loss-csv", default=None,
                    help="write per-step loss curve CSV (default: off)")
@@ -108,9 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="optional P6 image of the SAM error map (default: off)")
 
     p = sub.add_parser("scan-viz", help="dump a scan order as text and image")
-    p.add_argument("--height", type=_positive_int, required=True)
-    p.add_argument("--width", type=_positive_int, required=True)
-    p.add_argument("--stripe", type=_positive_int, default=mdef["stripe"],
+    p.add_argument("--height", type=_int_at_least(1), required=True)
+    p.add_argument("--width", type=_int_at_least(1), required=True)
+    p.add_argument("--stripe", type=_int_at_least(1), default=mdef["stripe"],
                    help="stripe length / window size (default: %(default)s)")
     p.add_argument("--kind", choices=KINDS, default=mdef["scan_kind"],
                    help="scan kind (default: %(default)s)")

@@ -97,14 +97,6 @@ class HsiCube:
     def bands(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def height(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[2]
-
 
 def write_hsc(cube: HsiCube, path: str) -> None:
     c, h, w = cube.data.shape
@@ -201,21 +193,23 @@ def _stretch_band(band: np.ndarray) -> np.ndarray:
     return np.clip((band - lo) / (hi - lo) * 255.0, 0, 255).astype(np.uint8)
 
 
+def _p6(rgb: np.ndarray) -> bytes:
+    """An (H, W, 3) uint8 array as a binary P6 portable pixmap."""
+    h, w, _ = rgb.shape
+    return f"P6\n{w} {h}\n255\n".encode() + rgb.tobytes()
+
+
 def pseudo_color(cube: HsiCube, r_band: int = 20, g_band: int = 30,
                  b_band: int = 40) -> bytes:
     """Min-max-stretched 3-band composite as a binary P6 portable pixmap."""
     for b in (r_band, g_band, b_band):
         if not 0 <= b < cube.bands:
             raise ContractViolation(f"band index {b} out of range (C={cube.bands})")
-    rgb = np.stack(
-        [_stretch_band(cube.data[b]) for b in (r_band, g_band, b_band)], axis=-1
-    )
-    header = f"P6\n{cube.width} {cube.height}\n255\n".encode()
-    return header + rgb.tobytes()
+    return _p6(np.stack(
+        [_stretch_band(cube.data[b]) for b in (r_band, g_band, b_band)], axis=-1))
 
 
 def gray_to_p6(img: np.ndarray) -> bytes:
     """Min-max stretch a 2D array and emit it as a grayscale P6 pixmap."""
     g = _stretch_band(np.asarray(img, dtype=np.float64))
-    h, w = g.shape
-    return f"P6\n{w} {h}\n255\n".encode() + np.stack([g, g, g], axis=-1).tobytes()
+    return _p6(np.stack([g, g, g], axis=-1))

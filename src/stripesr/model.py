@@ -12,18 +12,19 @@ Pipeline for a (C, h, w) low-resolution cube at scale s:
     Y   = X_up + tail(cur)                 # D -> C channels
 
 Odd spatial dims are reflect-padded before each DWT and cropped after the
-matching IWT. A NumericError raised inside a block, or by the finiteness
-check on each block's output, names the block path (`enc.1.hfse.0: ...`);
-a non-finite value from a model-level op (conv, DWT, IWT, pad, crop) is
-reported by the next block or by the check on the final output; numpy's
-overflow and invalid-value warnings are silenced in the forward, so these
-checks report them. The forward drops its reference to each map once that
-map is finished, so an untaped pass frees it; a tape keeps its own
-references. It runs each block's head conv itself, so a block's full-width
-input (both wavelet halves at an encoder level) is freed before the rest of
-the block runs, and X_up is recomputed for the final add. Weights
-live in a flat path -> array dict; the checkpoint container is the binary
-HSRW format (byte-exact roundtrip).
+matching IWT. A NumericError raised by the finiteness checks on each
+block's head output and on its output, or inside the block, names the
+block path (`enc.1.hfse.0: ...`); a non-finite value from a model-level
+op (conv, DWT, IWT, pad, crop) is reported by the next head check or by
+the check on the final output; numpy's overflow and invalid-value
+warnings are silenced in the forward, so these checks report them. The
+forward drops its reference to each map once that map is finished, so an
+untaped pass frees it; a tape keeps its own references. It runs each
+block's head conv itself, so a block's full-width input (both wavelet
+halves at an encoder level) is freed before the rest of the block runs,
+and X_up is recomputed for the final add. Weights live in a flat path ->
+array dict; the checkpoint container is the binary HSRW format (byte-exact
+roundtrip).
 """
 
 from __future__ import annotations
@@ -91,17 +92,13 @@ class ModelWeights:
 def param_specs(cfg: ModelConfig):
     """Ordered (path, shape, init-kind) triples for the whole model."""
     d, n, k_lv = cfg.hidden, cfg.state, cfg.levels
-    specs = []
-    specs += blocks._conv_specs("global.head", cfg.bands, d, 3)
+    specs = blocks._conv_specs("global.head", cfg.bands, d, 3)
     for i in range(k_lv + 1):
-        for path, shape, kind in blocks.lfse_specs(d, n):
-            specs.append((f"enc.{i}.lfse.0.{path}", shape, kind))
+        specs += blocks.nest(f"enc.{i}.lfse.0", blocks.lfse_specs(d, n))
         if i >= 1:
-            for path, shape, kind in blocks.hfse_specs(3 * d, n):
-                specs.append((f"enc.{i}.hfse.0.{path}", shape, kind))
+            specs += blocks.nest(f"enc.{i}.hfse.0", blocks.hfse_specs(3 * d, n))
     for i in range(k_lv, 0, -1):
-        for path, shape, kind in blocks.hlfd_specs(d, n):
-            specs.append((f"dec.{i}.hlfd.0.{path}", shape, kind))
+        specs += blocks.nest(f"dec.{i}.hlfd.0", blocks.hlfd_specs(d, n))
     specs += blocks._conv_specs("global.tail", d, cfg.bands, 3)
     return specs
 
@@ -164,7 +161,12 @@ def _head(x: Tensor, params, path: str) -> Tensor:
 def _stage(xp: Tensor, params, path: str, fwd, cfg: ModelConfig) -> Tensor:
     """The stage's one block `fwd` at `path` (`enc.1.hfse.0`: paths keep the
     `.0` that checkpoint names use) after its head, scanning along its
-    grid's four orders."""
+    grid's four orders. The head's output `xp` is checked first, so a
+    non-finite value from the head conv is named as the head's, not as
+    the first op inside the block to see it."""
+    # min and max propagate NaN and reach +-inf, and build no temporary
+    if not (np.isfinite(xp.data.min()) and np.isfinite(xp.data.max())):
+        raise NumericError(f"{path}: head conv produced non-finite values")
     orders = blocks.four_orders(cfg.scan_kind, cfg.stripe, *xp.shape[1:])
     try:
         x = fwd(xp, ParamView(params, path + "."), orders)
@@ -187,9 +189,8 @@ def forward(x_lr: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor
     if not np.all(np.isfinite(x_lr.data)):
         raise NumericError("forward: input contains non-finite values")
 
-    pv = ParamView(params)
     cur = ops.conv2d(ops.bicubic_resize(x_lr, cfg.scale),
-                     pv["global.head.w"], pv["global.head.b"])
+                     params["global.head.w"], params["global.head.b"])
     cur = _head(cur, params, "enc.0.lfse.0")
     cur = _stage(cur, params, "enc.0.lfse.0", blocks.lfse_forward, cfg)
 
@@ -212,7 +213,7 @@ def forward(x_lr: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor
         cur = _head(cur, params, f"dec.{i}.hlfd.0")
         cur = _stage(cur, params, f"dec.{i}.hlfd.0", blocks.hlfd_forward, cfg)
 
-    cur = ops.conv2d(cur, pv["global.tail.w"], pv["global.tail.b"])
+    cur = ops.conv2d(cur, params["global.tail.w"], params["global.tail.b"])
     out = T.add(ops.bicubic_resize(x_lr, cfg.scale), cur)
     if not np.all(np.isfinite(out.data)):
         raise NumericError("forward produced non-finite values")

@@ -85,7 +85,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, dilation: int = 1) -> Tensor:
     of columns each: it copies the block's kh*kw tap windows into one reused
     (g, kh*kw*C_in/g, rows*W) column buffer and runs one GEMM, batched over
     groups, straight into the block's rows of the output (the blocked im2col
-    of Vasudevan, Anderson & Gregg 2017). A 1x1 conv's columns are x's rows.
+    of Vasudevan, Anderson & Gregg 2017). A 1x1 conv is one GEMM on x.
     No padded image, full-size accumulator or patch copy is built. Backward
     pads x and runs one GEMM per tap (i, j) for each gradient, on the slice
     of the flat padded image at offset (i*Wp + j)*dilation."""
@@ -111,15 +111,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, dilation: int = 1) -> Tensor:
     k = kh * kw * c_in_g
     # column row t*C_in/g + c holds tap t of channel c, as wk's columns do
     wk = wg.transpose(0, 1, 3, 4, 2).reshape(g, c_out // g, k)
-    rows = max(1, min(h, CONV_BLOCK_BYTES // (g * k * wd * dtype.itemsize)))
     out = np.empty((c_out, h, wd), dtype=x.dtype)
     og = out.reshape(g, c_out // g, h * wd)
-    if kh == kw == 1:  # the columns are x's own rows
-        xg = x.data.reshape(g, c_in_g, h * wd)
-        for r0 in range(0, h, rows):
-            sl = slice(r0 * wd, (r0 + rows) * wd)
-            np.matmul(wk, xg[..., sl], out=og[..., sl])
+    if kh == kw == 1:  # the columns are x itself
+        np.matmul(wk, x.data.reshape(g, c_in_g, h * wd), out=og)
     else:
+        rows = max(1, min(h, CONV_BLOCK_BYTES // (g * k * wd * dtype.itemsize)))
         # the slab pads the input of `span` output rows, whole row blocks
         # in at most CONV_BLOCK_BYTES unless one block needs more
         fit = CONV_BLOCK_BYTES // (c_in * wp * x.dtype.itemsize) - (ekh - 1)
@@ -215,21 +212,19 @@ def ca_bottleneck(c: int) -> int:
 @lru_cache(maxsize=64)
 def _keys_weights(n_in: int, n_out: int, scale: float, dtype) -> np.ndarray:
     """Dense (n_out, n_in) row-resampling matrix for the Keys cubic, a=-0.5
-    (cached, read-only)."""
+    (cached, read-only). Output row i reads the four source samples around
+    (i + 0.5) / scale - 0.5; taps beyond the border are clamped onto the
+    edge column, where they add up in tap order."""
     a = -0.5
+    src = (np.arange(n_out) + 0.5) / scale - 0.5
+    m = np.floor(src)[:, None] + np.arange(-1, 3)  # (n_out, 4) tap positions
+    t = np.abs(src[:, None] - m)
+    near = (a + 2) * t**3 - (a + 3) * t**2 + 1
+    far = a * t**3 - 5 * a * t**2 + 8 * a * t - 4 * a
+    wgt = np.where(t <= 1.0, near, np.where(t < 2.0, far, 0.0))
     mat = np.zeros((n_out, n_in), dtype=np.float64)
-    for i in range(n_out):
-        src = (i + 0.5) / scale - 0.5
-        i0 = int(np.floor(src))
-        for m in range(i0 - 1, i0 + 3):
-            t = abs(src - m)
-            if t <= 1.0:
-                wgt = (a + 2) * t**3 - (a + 3) * t**2 + 1
-            elif t < 2.0:
-                wgt = a * t**3 - 5 * a * t**2 + 8 * a * t - 4 * a
-            else:
-                continue
-            mat[i, min(max(m, 0), n_in - 1)] += wgt
+    cols = np.clip(m, 0, n_in - 1).astype(np.intp)
+    np.add.at(mat, (np.arange(n_out)[:, None], cols), wgt)
     mat = mat.astype(dtype)
     mat.setflags(write=False)
     return mat

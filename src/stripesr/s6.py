@@ -22,7 +22,7 @@ as batched matmuls, and einsums where a matmul would broadcast A's (B, d).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -48,12 +48,7 @@ class S6Params:
 
     def tensors(self) -> tuple[Tensor, ...]:
         """The seven parameter tensors, in field order."""
-        return (self.a_log, self.d_skip, self.w_b, self.w_c,
-                self.w_dt_down, self.w_dt_up, self.b_dt)
-
-    @property
-    def d(self) -> int:
-        return self.a_log.shape[0]
+        return tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def n(self) -> int:
@@ -62,15 +57,8 @@ class S6Params:
     def validate(self):
         d, n = self.a_log.shape
         r = self.w_dt_down.shape[0]
-        ok = (
-            self.d_skip.shape == (d,)
-            and self.w_b.shape == (d, n)
-            and self.w_c.shape == (d, n)
-            and self.w_dt_down.shape == (r, d)
-            and self.w_dt_up.shape == (d, r)
-            and self.b_dt.shape == (d,)
-        )
-        if not ok:
+        want = ((d, n), (d,), (d, n), (d, n), (r, d), (d, r), (d,))
+        if tuple(t.shape for t in self.tensors()) != want:
             raise ContractViolation("S6Params shapes are inconsistent")
 
 
@@ -88,8 +76,9 @@ def _s6_core(seq: Tensor, params: list[S6Params]) -> Tensor:
     nb, d, t = seq.shape
     for p in params:
         p.validate()
-        if p.d != d:
-            raise ContractViolation(f"S6Params d={p.d} does not match sequence d={d}")
+        if p.a_log.shape[0] != d:
+            raise ContractViolation(
+                f"S6Params d={p.a_log.shape[0]} does not match sequence d={d}")
     if len(params) != nb:
         raise ContractViolation("one S6Params required per batch entry")
 

@@ -74,8 +74,8 @@ class Tape:
         self.grads: dict[int, np.ndarray] = {}
         self.spent = False  # backward has run and freed the closures
 
-    def leaf(self, data, dtype=None) -> Tensor:
-        t = Tensor(data, dtype=dtype)
+    def leaf(self, data) -> Tensor:
+        t = Tensor(data)
         nid = len(self.nodes)
         self.nodes.append(_Node((), None))
         t.tape = self

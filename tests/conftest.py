@@ -33,6 +33,18 @@ def init_param_dict(specs, seed=0, dtype=np.float64):
             for name, shape, kind in specs}
 
 
+class KeyRecorder(dict):
+    """A dict that records every key it is read with."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
 def whole_block(fwd):
     """`fwd` (lfse_forward, hfse_forward or hlfd_forward) as a model stage
     runs it: the block's head conv on x, then `fwd` on the head's output."""
@@ -119,6 +131,26 @@ def conv2d_oracle(x, w, b, kernel, stride=1, dilation=1, groups=1,
                             )
                 out[o, i, j] = acc
     return out
+
+
+def keys_weights_oracle(n_in, n_out, scale, dtype):
+    """Per-row, per-tap loop for the Keys-cubic (a=-0.5) resampling matrix:
+    each tap adds onto its source column, clamped to the border."""
+    a = -0.5
+    mat = np.zeros((n_out, n_in), dtype=np.float64)
+    for i in range(n_out):
+        src = (i + 0.5) / scale - 0.5
+        i0 = int(np.floor(src))
+        for m in range(i0 - 1, i0 + 3):
+            t = abs(src - m)
+            if t <= 1.0:
+                wgt = (a + 2) * t**3 - (a + 3) * t**2 + 1
+            elif t < 2.0:
+                wgt = a * t**3 - 5 * a * t**2 + 8 * a * t - 4 * a
+            else:
+                continue
+            mat[i, min(max(m, 0), n_in - 1)] += wgt
+    return mat.astype(dtype)
 
 
 def s6_oracle(x, a_log, d_skip, w_b, w_c, w_dt_down, w_dt_up, b_dt):

@@ -303,7 +303,7 @@ class TestNonFiniteInput:
         save_checkpoint(weights, ckpt)
         assert run("infer", "--in", gt_path, "--ckpt", ckpt,
                    "--out", str(out)) == 1
-        assert "error: enc.1.hfse.0: s6 scan" in capsys.readouterr().err
+        assert "error: enc.1.hfse.0: head conv" in capsys.readouterr().err
         assert not out.exists()
 
     def test_infer_overflowing_a_log_exit_0(self, gt_path, tmp_path):

@@ -10,7 +10,8 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from conftest import ABSURD_SHAPES, absurd_shape_checkpoint, peak_maps, rng
+from conftest import (ABSURD_SHAPES, KeyRecorder, absurd_shape_checkpoint,
+                      peak_maps, rng)
 from stripesr import blocks, ops
 from stripesr import tensor as T
 from stripesr.errors import ContractViolation, FormatError, NumericError
@@ -227,14 +228,18 @@ class TestForward:
         assert T.grad_check(f, raw[key].copy(), eps=1e-4) < 2e-3
 
     @pytest.mark.parametrize("key,message", [
-        # the NaN reaches this block's own S6, which names token and entry
+        # the head conv runs outside the block; the check on its output
+        # names it before the block's S6 sees the NaN
         ("enc.1.hfse.0.head.w",
+         "enc.1.hfse.0: head conv produced non-finite values"),
+        # the NaN starts in this block's own S6, which names token and entry
+        ("enc.1.hfse.0.vssm.s6.0.a_log",
          "enc.1.hfse.0: s6 scan produced non-finite values at token 0 "
          "of batch entry 0"),
         # the NaN leaves enc.0.lfse.0 through its tail conv, before any S6
         # sees it; the output check blames this block, not enc.1.hfse.0
         ("enc.0.lfse.0.tail.w", "enc.0.lfse.0: block produced non-finite"),
-    ], ids=["in-block-s6", "block-output"])
+    ], ids=["in-block-s6", "s6-origin", "block-output"])
     def test_non_finite_value_names_block_path(self, key, message):
         w = init_weights(MICRO)
         w.params[key][:] = np.nan
@@ -242,6 +247,18 @@ class TestForward:
         with pytest.raises(NumericError) as err:
             infer(x, w)
         assert str(err.value).startswith(message)
+
+    @pytest.mark.parametrize("cfg,count", [
+        (MICRO, 197),
+        (ModelConfig(bands=4, scale=2, hidden=16, levels=2, stripe=4, state=4,
+                     scan_kind="window"), 344),
+    ], ids=["micro", "levels2-window"])
+    def test_forward_reads_exactly_the_specced_params(self, cfg, count):
+        # a spec no forward reads, or a read of an unspecced name, fails
+        params = KeyRecorder(init_weights(cfg).as_tensors())
+        forward(Tensor(rng(8).random((4, 8, 8))), params, cfg)
+        assert params.read == {path for path, _, _ in param_specs(cfg)}
+        assert len(params.read) == count
 
 
 class TestFlops:

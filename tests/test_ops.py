@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import conv2d_oracle, peak_maps, rel_err, rng
+from conftest import conv2d_oracle, keys_weights_oracle, peak_maps, rel_err, rng
 from stripesr import ops, tensor as T
 from stripesr.errors import ContractViolation
 from stripesr.ops import OptState
@@ -361,6 +361,18 @@ class TestBicubic:
     def test_kernel_weights_rows_sum_to_one(self):
         w = ops._keys_weights(8, 16, 2.0, np.float64)
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("scale", [1, 2, 4, 8, 0.5])
+    @pytest.mark.parametrize("n_in", [1, 2, 3, 5, 8, 33, 64])
+    def test_kernel_weights_match_loop_oracle(self, n_in, scale, dtype):
+        # bit for bit, the border rows included, where taps clamped onto
+        # one edge column add up there (all four of them when n_in = 1)
+        n_out = max(1, round(n_in * scale))
+        got = ops._keys_weights(n_in, n_out, scale, dtype)
+        want = keys_weights_oracle(n_in, n_out, scale, dtype)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestAdamW:

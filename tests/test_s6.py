@@ -80,13 +80,19 @@ class TestNaiveForward:
         assert np.isfinite(out).all()
         assert np.abs(out[:, -1] - out[:, -2]).max() < 1e-6  # converged
 
-    def test_param_shape_validation(self):
-        p, _ = make_params(9, 2, 4)
-        bad = S6Params(
-            a_log=p.a_log, d_skip=Tensor(np.ones(3)), w_b=p.w_b, w_c=p.w_c,
-            w_dt_down=p.w_dt_down, w_dt_up=p.w_dt_up, b_dt=p.b_dt)
-        with pytest.raises(ContractViolation):
+    @pytest.mark.parametrize("key", KEYS)
+    def test_param_shape_validation(self, key):
+        # one field's last axis one too long: d=2, n=4, r=1
+        _, raw = make_params(9, 2, 4)
+        raw[key] = np.ones(raw[key].shape[:-1] + (raw[key].shape[-1] + 1,))
+        bad = S6Params(**{k: Tensor(v) for k, v in raw.items()})
+        with pytest.raises(ContractViolation, match="inconsistent"):
             _s6_core(Tensor(np.zeros((1, 2, 4))), [bad])
+
+    def test_param_d_must_match_sequence(self):
+        p, _ = make_params(9, 3, 4)  # consistent, but d=3
+        with pytest.raises(ContractViolation, match="d=3 does not match"):
+            _s6_core(Tensor(np.zeros((1, 2, 4))), [p])
 
 
 class TestCore:
