@@ -171,14 +171,13 @@ def _cmd_infer(args) -> int:
 def _cmd_eval(args) -> int:
     pred = hsd.read_hsc(args.pred)
     gt = hsd.read_hsc(args.gt)
-    a, b = qi.check_pair(pred, gt)  # the report and the SAM map share these
-    report = qi.compute_report(a, b, scale=args.scale,
+    report = qi.compute_report(pred, gt, scale=args.scale,
                                peak=gt.value_range[1] - gt.value_range[0])
     with hsd.atomic_open(args.csv, "w") as fh:
         fh.write(report.csv_row() + "\n")
     if args.sam_map:
         with hsd.atomic_open(args.sam_map) as fh:
-            fh.write(hsd.gray_to_p6(qi.sam_error_map(a, b)))
+            fh.write(hsd.gray_to_p6(qi.sam_error_map(pred, gt)))
     print(report.csv_row())
     return 0
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ContractViolation, FormatError
 from . import ops
-from .tensor import Tensor
+from .tensor import Tensor, all_finite
 
 log = logging.getLogger(__name__)
 
@@ -121,15 +121,14 @@ def read_hsc(path: str) -> HsiCube:
                 f"trailing bytes after the HSC payload at byte {fh.tell() - 1}"
             )
     data = np.frombuffer(payload, dtype="<f4").reshape(c, h, w)
-    finite = np.isfinite(data)
-    if not finite.all():
-        first = int(np.argmin(finite))
+    if not all_finite(data):
+        first = int(np.argmin(np.isfinite(data)))
         raise FormatError(
             f"non-finite HSC value at byte {HSC_HEADER.size + 4 * first}"
         )
     clipped = np.clip(data, lo, hi)
-    n_clamped = int(np.count_nonzero(clipped != data))
-    if n_clamped:
+    if data.size and (data.min() < lo or data.max() > hi):
+        n_clamped = int(np.count_nonzero(clipped != data))
         log.warning("clamped %d out-of-range values while loading %s", n_clamped, path)
     return HsiCube(data=clipped, value_range=(lo, hi))
 

@@ -5,6 +5,8 @@ any external script): PSNR and SSIM are per-band values averaged over bands;
 a zero-MSE band contributes the 99.0 dB cap; SSIM uses uniform 8x8 windows
 at stride 1; SAM is the mean per-pixel spectral angle in degrees; ERGAS is
 100/s * sqrt(mean_b(MSE_b / mu_b^2)) with mu_b the reference band mean.
+Inputs keep their dtype: the metrics cast to float64 a band at a time, and
+SAM's einsums accumulate in float64, never a whole cube at a time.
 
 SSIM's window means are box sums: for one band, SSIM_WINDOW - 1 in-place adds
 of row-shifted slices, then as many of column-shifted slices, divided by the
@@ -25,16 +27,16 @@ PSNR_CAP_DB = 99.0
 SSIM_WINDOW = 8
 
 
-def _as_cube_array(x, dtype) -> np.ndarray:
-    arr = np.asarray(x.data if isinstance(x, HsiCube) else x, dtype=dtype)
+def _as_cube_array(x) -> np.ndarray:
+    arr = np.asarray(x.data if isinstance(x, HsiCube) else x)
     if arr.ndim != 3:
         raise ContractViolation("metrics expect (C, H, W) cubes")
     return arr
 
 
-def check_pair(x, y, dtype=np.float64):
-    """Both cubes as arrays of `dtype` (None keeps their own), same shape."""
-    a, b = _as_cube_array(x, dtype), _as_cube_array(y, dtype)
+def check_pair(x, y):
+    """Both cubes as arrays of their own dtype, of one shape."""
+    a, b = _as_cube_array(x), _as_cube_array(y)
     if a.shape != b.shape:
         raise ContractViolation(f"shape mismatch {a.shape} vs {b.shape}")
     return a, b
@@ -60,7 +62,7 @@ class MetricReport:
 def psnr(x, y, peak: float = 1.0) -> float:
     if peak <= 0:
         raise ContractViolation("peak must be positive")
-    mse = _band_mse(*check_pair(x, y, None))
+    mse = _band_mse(*check_pair(x, y))
     vals = np.where(
         mse > 0,
         10.0 * np.log10(peak**2 / np.where(mse > 0, mse, 1.0)),
@@ -91,6 +93,7 @@ def ssim(x, y, peak: float = 1.0) -> float:
     c2 = (0.03 * peak) ** 2
     total = 0.0
     for ba, bb in zip(a, b):
+        ba, bb = np.asarray(ba, np.float64), np.asarray(bb, np.float64)
         mu_a = _box_mean(ba)
         mu_b = _box_mean(bb)
         var_a = _box_mean(ba * ba) - mu_a * mu_a
@@ -104,9 +107,9 @@ def ssim(x, y, peak: float = 1.0) -> float:
 
 def _sam_angles(x, y):
     a, b = check_pair(x, y)
-    dots = np.einsum("chw,chw->hw", a, b)
-    sna = np.einsum("chw,chw->hw", a, a)
-    snb = np.einsum("chw,chw->hw", b, b)
+    dots = np.einsum("chw,chw->hw", a, b, dtype=np.float64)
+    sna = np.einsum("chw,chw->hw", a, a, dtype=np.float64)
+    snb = np.einsum("chw,chw->hw", b, b, dtype=np.float64)
     valid = (sna > 0) & (snb > 0)
     # sqrt(sna*snb) instead of sqrt(sna)*sqrt(snb): for a == b the product
     # round-trips exactly, so identical cubes give cos = 1 and angle = 0
@@ -131,7 +134,7 @@ def sam(x, y) -> float:
 
 
 def ergas(x_ref, y_est, scale: int) -> float:
-    a, b = check_pair(x_ref, y_est, None)
+    a, b = check_pair(x_ref, y_est)
     mu = np.array([np.asarray(band, np.float64).mean() for band in a])
     zero = np.flatnonzero(mu == 0)
     if zero.size:
@@ -141,7 +144,6 @@ def ergas(x_ref, y_est, scale: int) -> float:
 
 
 def compute_report(pred, gt, scale: int, peak: float = 1.0) -> MetricReport:
-    # cast once; the metrics only read their inputs, so they share the arrays
     a, b = check_pair(pred, gt)
     return MetricReport(
         psnr=psnr(a, b, peak),

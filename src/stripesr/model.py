@@ -12,19 +12,19 @@ Pipeline for a (C, h, w) low-resolution cube at scale s:
     Y   = X_up + tail(cur)                 # D -> C channels
 
 Odd spatial dims are reflect-padded before each DWT and cropped after the
-matching IWT. A NumericError raised by the finiteness checks on each
-block's head output and on its output, or inside the block, names the
-block path (`enc.1.hfse.0: ...`); a non-finite value from a model-level
-op (conv, DWT, IWT, pad, crop) is reported by the next head check or by
-the check on the final output; numpy's overflow and invalid-value
-warnings are silenced in the forward, so these checks report them. The
-forward drops its reference to each map once that map is finished, so an
-untaped pass frees it; a tape keeps its own references. It runs each
-block's head conv itself, so a block's full-width input (both wavelet
-halves at an encoder level) is freed before the rest of the block runs,
-and X_up is recomputed for the final add. Weights live in a flat path ->
-array dict; the checkpoint container is the binary HSRW format (byte-exact
-roundtrip).
+matching IWT. The global convs, the DWTs, the cropped IWTs, each block's
+head conv and output, and the final add are checked for finiteness, and a
+NumericError names the first that fails: `global.head: conv ...`,
+`enc.1: dwt ...`, `dec.1: iwt ...`, `enc.1.hfse.0: head conv ...` (or the
+block's S6 check, which adds token and entry), `forward ...`. numpy's
+overflow and invalid-value warnings are silenced in the forward, so these
+checks report them. The forward drops its reference to each map once that
+map is finished, so an untaped pass frees it; a tape keeps its own
+references. It runs each block's head conv itself, so a block's
+full-width input (both wavelet halves at an encoder level) is freed
+before the rest of the block runs, and X_up is recomputed for the final
+add. Weights live in a flat path -> array dict; the checkpoint container
+is the binary HSRW format (byte-exact roundtrip).
 """
 
 from __future__ import annotations
@@ -154,27 +154,27 @@ def _crop(x: Tensor, dims: tuple[int, int]) -> Tensor:
     return T._record_unary(x, x.data[:, :h, :wd].copy(), lambda g: np.pad(g, pad))
 
 
+def _checked(x: Tensor, what: str) -> Tensor:
+    """`x`, once every value is finite; else a NumericError naming `what`."""
+    if not T.all_finite(x.data):
+        raise NumericError(f"{what} produced non-finite values")
+    return x
+
+
 def _head(x: Tensor, params, path: str) -> Tensor:
-    return blocks.head(x, ParamView(params, path + "."))
+    return _checked(blocks.head(x, ParamView(params, path + ".")), f"{path}: head conv")
 
 
 def _stage(xp: Tensor, params, path: str, fwd, cfg: ModelConfig) -> Tensor:
     """The stage's one block `fwd` at `path` (`enc.1.hfse.0`: paths keep the
     `.0` that checkpoint names use) after its head, scanning along its
-    grid's four orders. The head's output `xp` is checked first, so a
-    non-finite value from the head conv is named as the head's, not as
-    the first op inside the block to see it."""
-    # min and max propagate NaN and reach +-inf, and build no temporary
-    if not (np.isfinite(xp.data.min()) and np.isfinite(xp.data.max())):
-        raise NumericError(f"{path}: head conv produced non-finite values")
+    grid's four orders."""
     orders = blocks.four_orders(cfg.scan_kind, cfg.stripe, *xp.shape[1:])
     try:
         x = fwd(xp, ParamView(params, path + "."), orders)
     except NumericError as exc:
         raise NumericError(f"{path}: {exc}") from exc
-    if not np.isfinite(x.data).all():
-        raise NumericError(f"{path}: block produced non-finite values")
-    return x
+    return _checked(x, f"{path}: block")
 
 
 # overflow and NaN surface through the finiteness checks, which name the
@@ -186,11 +186,12 @@ def forward(x_lr: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor
         raise ContractViolation(
             f"input has {x_lr.shape[0]} bands, config expects {cfg.bands}"
         )
-    if not np.all(np.isfinite(x_lr.data)):
+    if not T.all_finite(x_lr.data):
         raise NumericError("forward: input contains non-finite values")
 
-    cur = ops.conv2d(ops.bicubic_resize(x_lr, cfg.scale),
-                     params["global.head.w"], params["global.head.b"])
+    cur = _checked(ops.conv2d(ops.bicubic_resize(x_lr, cfg.scale),
+                              params["global.head.w"], params["global.head.b"]),
+                   "global.head: conv")
     cur = _head(cur, params, "enc.0.lfse.0")
     cur = _stage(cur, params, "enc.0.lfse.0", blocks.lfse_forward, cfg)
 
@@ -199,8 +200,8 @@ def forward(x_lr: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor
         cur, dims = _pad_to_even(cur)
         pair = dwt_haar(cur)
         del cur
-        h_out = _head(pair.high, params, f"enc.{i}.hfse.0")
-        cur = _head(pair.low, params, f"enc.{i}.lfse.0")
+        h_out = _head(_checked(pair.high, f"enc.{i}: dwt"), params, f"enc.{i}.hfse.0")
+        cur = _head(_checked(pair.low, f"enc.{i}: dwt"), params, f"enc.{i}.lfse.0")
         del pair
         h_out = _stage(h_out, params, f"enc.{i}.hfse.0", blocks.hfse_forward, cfg)
         highs.append((h_out, dims))
@@ -208,16 +209,15 @@ def forward(x_lr: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor
 
     for i in range(cfg.levels, 0, -1):
         h_out, dims = highs.pop()
-        cur = _crop(iwt_haar(WaveletPair(low=cur, high=h_out)), dims)
+        cur = _checked(_crop(iwt_haar(WaveletPair(low=cur, high=h_out)), dims),
+                       f"dec.{i}: iwt")
         del h_out
         cur = _head(cur, params, f"dec.{i}.hlfd.0")
         cur = _stage(cur, params, f"dec.{i}.hlfd.0", blocks.hlfd_forward, cfg)
 
-    cur = ops.conv2d(cur, params["global.tail.w"], params["global.tail.b"])
-    out = T.add(ops.bicubic_resize(x_lr, cfg.scale), cur)
-    if not np.all(np.isfinite(out.data)):
-        raise NumericError("forward produced non-finite values")
-    return out
+    cur = _checked(ops.conv2d(cur, params["global.tail.w"], params["global.tail.b"]),
+                   "global.tail: conv")
+    return _checked(T.add(ops.bicubic_resize(x_lr, cfg.scale), cur), "forward")
 
 
 def infer(x_lr, weights: ModelWeights) -> Tensor:

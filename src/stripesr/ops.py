@@ -290,7 +290,7 @@ def adamw_step(params: dict, grads: dict, state: OptState) -> None:
         with np.errstate(over="ignore", invalid="ignore"):
             update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
             p -= state.lr * (update + state.weight_decay * p)
-        if not np.isfinite(p).all():
+        if not T.all_finite(p):
             raise NumericError(f"adamw_step: the update made {name} non-finite")
 
 

@@ -134,8 +134,8 @@ def _s6_core(seq: Tensor, params: list[S6Params]) -> Tensor:
         # into the strided output view
         np.matmul(st, c_t[..., None], out=sp[..., None])
         np.add(sp, d_skip * xc, out=y[:, :, c0:c1].transpose(2, 0, 1))
-    bad = np.argwhere(~np.isfinite(y).all(axis=1).T)  # (token, entry), earliest first
-    if bad.size:
+    if not T.all_finite(y):
+        bad = np.argwhere(~np.isfinite(y).all(axis=1).T)  # (token, entry), earliest first
         raise NumericError(f"s6 scan produced non-finite values at token {bad[0, 0]} "
                            f"of batch entry {bad[0, 1]}")
 

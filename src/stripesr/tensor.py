@@ -145,6 +145,12 @@ def record(out, inputs, backward) -> Tensor:
     return tape.record(out, inputs, backward)
 
 
+def all_finite(a) -> bool:
+    """Whether every value of the numpy array `a` is finite. min and max
+    propagate NaN and reach +-inf, so no mask is built."""
+    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
 def logistic(x):
     """Elementwise 1 / (1 + exp(-x)) on numpy values, in x's dtype.
 

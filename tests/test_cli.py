@@ -347,6 +347,18 @@ class TestNonFiniteInput:
             capsys.readouterr().err
         assert not csv.exists()
 
+    @pytest.mark.parametrize("dims", [(0, 4, 4), (4, 0, 4)],
+                             ids=["zero-bands", "zero-height"])
+    def test_eval_zero_dim_hsc_exit_2(self, gt_path, tmp_path, capsys, dims):
+        # an empty payload has no min or max, so the clamp count must not
+        # read them; the cube check rejects the shape
+        bad = str(tmp_path / "empty.hsc")
+        with open(bad, "wb") as fh:
+            fh.write(b"HSC1" + struct.pack("<IIIff", *dims, 0.0, 1.0))
+        assert run("eval", "--pred", bad, "--gt", gt_path, "--scale", "2",
+                   "--csv", str(tmp_path / "m.csv")) == 2
+        assert f"cube must be (C,H,W), got {dims}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cmd", ["eval", "infer"])
     def test_infinite_value_range_exit_2(self, gt_path, tmp_path, capsys,
                                          cmd):

@@ -55,14 +55,19 @@ class TestPsnr:
         with pytest.raises(ContractViolation):
             psnr(np.zeros((1, 4, 4)), np.zeros((1, 4, 5)))
 
-    def test_peak_memory_bounded_by_bands(self):
+    @pytest.mark.parametrize("metric,bands", [
+        (psnr, 4), (ssim, 16), (sam, 16),
+        (lambda a, b: compute_report(a, b, scale=2), 16),
+    ], ids=["psnr", "ssim", "sam", "compute_report"])
+    def test_peak_memory_bounded_by_bands(self, metric, bands):
         # float32 cubes are cast to float64 one band (32 KiB) at a time; a
-        # whole-cube cast of both would be 62 bands
+        # whole-cube cast of both would be 62 bands. SSIM's window sums and
+        # SAM's per-pixel maps are a few bands each
         g = rng(3)
         a = g.random((31, 64, 64), dtype=np.float32)
         b = g.random((31, 64, 64), dtype=np.float32)
-        _, peak = traced_peak(lambda: psnr(a, b))
-        assert peak < 4 * 64 * 64 * 8
+        _, peak = traced_peak(lambda: metric(a, b))
+        assert peak < bands * 64 * 64 * 8
 
 
 class TestSsim:
@@ -203,3 +208,13 @@ class TestReport:
         assert rep.ssim == pytest.approx(1.0, abs=1e-6)
         assert rep.sam == pytest.approx(0.0, abs=1e-6)
         assert rep.ergas == 0.0
+
+    def test_float32_pair_scores_as_its_float64_cast(self):
+        # the metrics cast band by band, and SAM's einsums accumulate in
+        # float64, so skipping the whole-cube cast changes no bit
+        g = rng(14)
+        a = g.random((31, 24, 40), dtype=np.float32)
+        b = np.clip(a + g.normal(0.0, 0.05, a.shape), 0.0, 1.0).astype(np.float32)
+        a64, b64 = a.astype(np.float64), b.astype(np.float64)
+        assert compute_report(a, b, scale=4) == compute_report(a64, b64, scale=4)
+        assert np.array_equal(sam_error_map(a, b), sam_error_map(a64, b64))

@@ -227,22 +227,31 @@ class TestForward:
 
         assert T.grad_check(f, raw[key].copy(), eps=1e-4) < 2e-3
 
-    @pytest.mark.parametrize("key,message", [
+    @pytest.mark.parametrize("faults,message", [
         # the head conv runs outside the block; the check on its output
         # names it before the block's S6 sees the NaN
-        ("enc.1.hfse.0.head.w",
+        ({"enc.1.hfse.0.head.w": np.nan},
          "enc.1.hfse.0: head conv produced non-finite values"),
         # the NaN starts in this block's own S6, which names token and entry
-        ("enc.1.hfse.0.vssm.s6.0.a_log",
+        ({"enc.1.hfse.0.vssm.s6.0.a_log": np.nan},
          "enc.1.hfse.0: s6 scan produced non-finite values at token 0 "
          "of batch entry 0"),
         # the NaN leaves enc.0.lfse.0 through its tail conv, before any S6
         # sees it; the output check blames this block, not enc.1.hfse.0
-        ("enc.0.lfse.0.tail.w", "enc.0.lfse.0: block produced non-finite"),
-    ], ids=["in-block-s6", "s6-origin", "block-output"])
-    def test_non_finite_value_names_block_path(self, key, message):
+        ({"enc.0.lfse.0.tail.w": np.nan}, "enc.0.lfse.0: block produced non-finite"),
+        # the model-level ops name themselves, not the next block's head
+        ({"global.head.w": np.nan}, "global.head: conv produced non-finite values"),
+        ({"global.tail.w": np.nan}, "global.tail: conv produced non-finite values"),
+        # finite outputs of 3e38 whose Haar sums overflow float32
+        ({"enc.0.lfse.0.tail.b": 3e38}, "enc.1: dwt produced non-finite values"),
+        ({"enc.1.lfse.0.tail.b": 3e38, "enc.1.hfse.0.tail.b": 3e38},
+         "dec.1: iwt produced non-finite values"),
+    ], ids=["in-block-s6", "s6-origin", "block-output", "global-head",
+            "global-tail", "dwt-overflow", "iwt-overflow"])
+    def test_non_finite_value_names_block_path(self, faults, message):
         w = init_weights(MICRO)
-        w.params[key][:] = np.nan
+        for key, value in faults.items():
+            w.params[key][:] = value
         x = rng(7).random((4, 8, 8)).astype(np.float32)
         with pytest.raises(NumericError) as err:
             infer(x, w)

@@ -171,6 +171,11 @@ class TestCore:
         with pytest.raises(NumericError,
                            match=f"token {CHUNK + 7} of batch entry 1$"):
             _s6_core(Tensor(x, dtype=np.float64), [p, p])
+        # entry 0 goes bad later than entry 1: the earliest token is named
+        x[0, 0, CHUNK + 9] = 1e120
+        with pytest.raises(NumericError,
+                           match=f"token {CHUNK + 7} of batch entry 1$"):
+            _s6_core(Tensor(x, dtype=np.float64), [p, p])
 
 
 class TestGradients:

@@ -234,3 +234,19 @@ class TestGradCheckHarness:
             out = T._record_unary(t, t.data.copy(), dfn)
             return T.reduce_mean(out)
         assert T.grad_check(bad, rng(19).normal(size=(3,))) > 1e-2
+
+
+class TestAllFinite:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_finite_and_empty_arrays_pass(self, dtype):
+        assert T.all_finite(rng(1).normal(size=(3, 4)).astype(dtype))
+        assert T.all_finite(np.zeros((0, 3), dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])
+    def test_non_finite_value_fails(self, dtype, value, at):
+        x = np.ones(7, dtype)
+        x[at] = value
+        assert not T.all_finite(x)
