@@ -10,19 +10,19 @@ LFSE, HFSE and HLFD open with a 3x3 `head` conv mapping C channels down by 8
 (to at least 8) and close with a 3x3 `tail` conv mapping them back up. The
 caller runs `head`, so it can drop the block's input; a whole block is
 `fwd(head(x, pv), pv, orders)`. A block's specs name its parameters
-relative to the block; `nest` puts them under the block's path.
+relative to the block; `nest` puts them under the block's path. A VSSM
+holds four S6 heads, `s6.<k>.<field>`, shaped as `s6.head_specs` lists.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from functools import lru_cache
 
 from .errors import ContractViolation
 from . import tensor as T
 from . import ops
 from .tensor import Tensor
-from .s6 import S6Params, delta_rank, ss2d
+from .s6 import S6Params, head_specs, ss2d
 from .scan import ScanOrder, make_order
 
 CHANNEL_SCALING = 8
@@ -72,19 +72,6 @@ def _ln_specs(path, c):
     return [(f"{path}.gamma", (c,), "ones"), (f"{path}.beta", (c,), "zeros")]
 
 
-def _s6_specs(path, d, n):
-    r = delta_rank(d)
-    return [
-        (f"{path}.a_log", (d, n), "a_log"),
-        (f"{path}.d_skip", (d,), "ones"),
-        (f"{path}.w_b", (d, n), "linear_rows"),
-        (f"{path}.w_c", (d, n), "linear_rows"),
-        (f"{path}.w_dt_down", (r, d), "fan_in"),
-        (f"{path}.w_dt_up", (d, r), "fan_in"),
-        (f"{path}.b_dt", (d,), "zeros"),
-    ]
-
-
 def _conv(x, pv, name, dilation=1):
     return ops.conv2d(x, pv[f"{name}.w"], pv[f"{name}.b"], dilation)
 
@@ -98,11 +85,6 @@ def _ln(x, pv, name):
     return ops.layernorm(x, pv[f"{name}.gamma"], pv[f"{name}.beta"])
 
 
-def _s6_params(pv, name, k):
-    p = pv.sub(f"{name}.{k}")
-    return S6Params(**{f.name: p[f.name] for f in dataclasses.fields(S6Params)})
-
-
 # ---------------------------------------------------------------- VSSM
 
 def vssm_specs(c: int, n: int):
@@ -111,7 +93,7 @@ def vssm_specs(c: int, n: int):
     specs += _conv_specs("in_proj", c, d_inner, 1)
     specs += _conv_specs("dw", d_inner, d_inner, 3, groups=d_inner)
     for k in range(4):
-        specs += _s6_specs(f"s6.{k}", d_inner, n)
+        specs += nest(f"s6.{k}", head_specs(d_inner, n))
     specs += _ln_specs("ln_out", d_inner)
     specs += _conv_specs("out_proj", d_inner, c, 1)
     return specs
@@ -123,8 +105,9 @@ def vssm_forward(x: Tensor, pv: ParamView, orders: list[ScanOrder]) -> Tensor:
     residual."""
     t = _conv(_ln(x, pv, "ln_in"), pv, "in_proj")
     a = T.silu(_conv(t, pv, "dw"))
-    params = [_s6_params(pv, "s6", k) for k in range(4)]
-    y = ss2d(a, params, orders)
+    heads = [S6Params(*(pv[f"s6.{k}.{f}"] for f in S6Params._fields))
+             for k in range(4)]
+    y = ss2d(a, heads, orders)
     y = _ln(y, pv, "ln_out")
     y = T.mul(y, T.silu(t))
     return T.add(_conv(y, pv, "out_proj"), x)

@@ -33,7 +33,7 @@ import json
 import math
 import struct
 import typing
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -313,6 +313,10 @@ def load_checkpoint(path: str) -> ModelWeights:
         (cfg_len,) = struct.unpack("<I", read_exact(fh, 4, "config length"))
         cfg = _parse_config(read_exact(fh, cfg_len, "config"))
         (count,) = struct.unpack("<I", read_exact(fh, 4, "param count"))
+        # the spec count is affine in levels: check it before O(levels) work
+        n1, n2 = (len(param_specs(replace(cfg, levels=k))) for k in (1, 2))
+        if count != n1 + (cfg.levels - 1) * (n2 - n1):
+            raise FormatError("checkpoint parameters do not match the stored config")
         params = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<I", read_exact(fh, 4, "name length"))
@@ -330,9 +334,7 @@ def load_checkpoint(path: str) -> ModelWeights:
             raise FormatError(
                 f"trailing bytes after the last parameter at byte {fh.tell() - 1}"
             )
-    weights = ModelWeights(config=cfg, params=params)
-    expected = {p: s for p, s, _ in param_specs(cfg)}
-    got = {k: tuple(v.shape) for k, v in params.items()}
-    if got != {k: tuple(v) for k, v in expected.items()}:
+    specs = {path: shape for path, shape, _ in param_specs(cfg)}
+    if {k: v.shape for k, v in params.items()} != specs:
         raise FormatError("checkpoint parameters do not match the stored config")
-    return weights
+    return ModelWeights(config=cfg, params=params)

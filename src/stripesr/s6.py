@@ -22,7 +22,7 @@ as batched matmuls, and einsums where a matmul would broadcast A's (B, d).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,58 +34,63 @@ from .scan import ScanOrder, gather_tokens, scatter_tokens
 CHUNK = 256  # tokens per step of the forward's chunk loop
 
 
-@dataclass
-class S6Params:
-    """One selective-scan head. d = channel dim, n = state dim, r = delta rank."""
+class S6Params(NamedTuple):
+    """One selective-scan head, its fields shaped as `head_specs` lists."""
 
-    a_log: Tensor  # (d, n); A = -exp(a_log)
-    d_skip: Tensor  # (d,)
-    w_b: Tensor  # (d, n)
-    w_c: Tensor  # (d, n)
-    w_dt_down: Tensor  # (r, d) bottleneck in
-    w_dt_up: Tensor  # (d, r) bottleneck out
-    b_dt: Tensor  # (d,)
-
-    def tensors(self) -> tuple[Tensor, ...]:
-        """The seven parameter tensors, in field order."""
-        return tuple(getattr(self, f.name) for f in fields(self))
+    a_log: Tensor  # A = -exp(a_log)
+    d_skip: Tensor
+    w_b: Tensor
+    w_c: Tensor
+    w_dt_down: Tensor  # bottleneck in
+    w_dt_up: Tensor  # bottleneck out
+    b_dt: Tensor
 
     @property
     def n(self) -> int:
         return self.a_log.shape[1]
-
-    def validate(self):
-        d, n = self.a_log.shape
-        r = self.w_dt_down.shape[0]
-        want = ((d, n), (d,), (d, n), (d, n), (r, d), (d, r), (d,))
-        if tuple(t.shape for t in self.tensors()) != want:
-            raise ContractViolation("S6Params shapes are inconsistent")
 
 
 def delta_rank(d: int) -> int:
     return max(d // 16, 1)
 
 
+def head_specs(d: int, n: int):
+    """(field, shape, init kind) per S6Params field: d channels, n states."""
+    r = delta_rank(d)
+    return [
+        ("a_log", (d, n), "a_log"),
+        ("d_skip", (d,), "ones"),
+        ("w_b", (d, n), "linear_rows"),
+        ("w_c", (d, n), "linear_rows"),
+        ("w_dt_down", (r, d), "fan_in"),
+        ("w_dt_up", (d, r), "fan_in"),
+        ("b_dt", (d,), "zeros"),
+    ]
+
+
 def _s6_core(seq: Tensor, params: list[S6Params]) -> Tensor:
-    """Batched fused scan: seq (B, d, T), one S6Params per batch entry.
+    """Batched fused scan: seq (B, d, T), one head per batch entry. Heads
+    may repeat, so a layout is a list of heads: per direction, per sample.
 
     An untaped call consumes seq: when seq has the result dtype, y is
     written over seq's data, each chunk reading its x slice before it
     writes its y slice. Callers that read seq afterwards pass a copy. A
     taped call keeps x for backward and writes y to a new array."""
+    if len(seq.shape) != 3 or len(params) != seq.shape[0]:
+        raise ContractViolation("one S6Params required per batch entry of a (B, d, T) "
+                                f"sequence, got {len(params)} for {seq.shape}")
     nb, d, t = seq.shape
     for p in params:
-        p.validate()
-        if p.a_log.shape[0] != d:
+        if len(p.a_log.shape) == 2 and p.a_log.shape[0] != d:
             raise ContractViolation(
                 f"S6Params d={p.a_log.shape[0]} does not match sequence d={d}")
-    if len(params) != nb:
-        raise ContractViolation("one S6Params required per batch entry")
+        n = p.a_log.shape[-1] if p.a_log.shape else 0
+        if tuple(f.shape for f in p) != tuple(s for _, s, _ in head_specs(d, n)):
+            raise ContractViolation("S6Params shapes are inconsistent")
 
-    fields = [p.tensors() for p in params]
-    inputs = (seq, *(f for fs in fields for f in fs))
+    inputs = (seq, *(f for p in params for f in p))
     a_log, d_skip, w_b, w_c, w_dn, w_up, b_dt = (
-        np.stack([f.data for f in col]) for col in zip(*fields)
+        np.stack([f.data for f in col]) for col in zip(*params)
     )
 
     x = seq.data
@@ -185,6 +190,4 @@ def ss2d(x: Tensor, params: list[S6Params], orders: list[ScanOrder]) -> Tensor:
     cross-merge, summing the K sequences put back along their orders. The
     gathered sequences belong to this call alone, so an untaped scan writes
     its output over them."""
-    if len(params) != len(orders):
-        raise ContractViolation("ss2d: need one S6Params per ScanOrder")
     return scatter_tokens(_s6_core(gather_tokens(x, orders), params), orders)

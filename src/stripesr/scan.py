@@ -58,7 +58,8 @@ def make_order(kind: str, h: int, w: int, param: int, direction: int = 0) -> Sca
         raise ContractViolation(f"grid dims must be positive, got {h}x{w}")
     if param < 1:
         raise ContractViolation(f"scan param must be >= 1, got {param}")
-    tile = _TILES[kind](h, w, param)
+    # a tile side of h * w spans the grid; a larger one can overflow intp
+    tile = _TILES[kind](h, w, min(param, h * w))
     if direction in (0, 1):
         perm = _tile_base(h, w, *tile)
     elif direction in (2, 3):

@@ -53,11 +53,10 @@ class TrainConfig:
 
     def patch_for(self, mcfg: ModelConfig) -> int:
         p = self.gt_patch if self.gt_patch is not None else default_gt_patch(mcfg.scale)
-        if p % mcfg.scale or p % (2**mcfg.levels):
-            raise ContractViolation(
-                f"patch {p} must be divisible by scale {mcfg.scale} "
-                f"and by 2^levels={2**mcfg.levels}"
-            )
+        # 2^bit_length(p) > p, so a larger power of two need not be built
+        if p % mcfg.scale or p % 2 ** min(mcfg.levels, p.bit_length()):
+            raise ContractViolation(f"patch {p} must be divisible by scale "
+                                    f"{mcfg.scale} and by 2^{mcfg.levels}")
         return p
 
 

@@ -179,6 +179,31 @@ class TestTrainInferEval:
         assert "(at step 0)" in err
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("levels", ["15000", "1000000", str(2**64)])
+    def test_train_huge_levels_exit_2(self, gt_path, tmp_path, capsys,
+                                      levels):
+        # the patch check never builds the levels-bit integer 2^levels
+        ckpt = tmp_path / "m.hsrw"
+        assert run("train", "--gt", gt_path, "--scale", "2", "--steps", "1",
+                   "--ckpt", str(ckpt), "--levels", levels) == 2
+        assert capsys.readouterr().err == (
+            f"error: patch 64 must be divisible by scale 2 and by 2^{levels}\n")
+        assert not ckpt.exists()
+
+    def test_infer_stripe_past_int64_exit_0(self, gt_path, tmp_path):
+        # a stored stripe of 2^63 scans each grid like one spanning it:
+        # 64 * 64 at HR, the largest grid
+        outs = []
+        for stripe in (2**63, 64 * 64):
+            cfg = ModelConfig(bands=4, scale=2, hidden=16, levels=1,
+                              stripe=stripe, state=4)
+            ckpt, out = str(tmp_path / "m.hsrw"), tmp_path / f"{stripe}.hsc"
+            save_checkpoint(init_weights(cfg), ckpt)
+            assert run("infer", "--in", gt_path, "--ckpt", ckpt,
+                       "--out", str(out)) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_train_defaults_are_the_config_defaults(self, tmp_path,
                                                     monkeypatch):
         # the benchmark's infer-cli workload builds ModelConfig(bands, scale)
@@ -406,6 +431,15 @@ class TestScanViz:
                    "--out", str(out)) == 2
         assert "error: scan-viz: not enough memory" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", ["stripe", "window"])
+    def test_stripe_past_int64_same_as_grid_size(self, tmp_path, kind):
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        for out, stripe in ((a, 2**63), (b, 4 * 5)):
+            assert run("scan-viz", "--height", "4", "--width", "5",
+                       "--stripe", str(stripe), "--kind", kind,
+                       "--out", out) == 0
+        assert open(a + ".txt").read() == open(b + ".txt").read()
 
     def test_idempotent_outputs(self, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")

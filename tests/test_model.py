@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import (ABSURD_SHAPES, KeyRecorder, absurd_shape_checkpoint,
-                      peak_maps, rng)
+                      checkpoint_bytes, peak_maps, rng, traced_peak)
 from stripesr import blocks, ops
 from stripesr import tensor as T
 from stripesr.errors import ContractViolation, FormatError, NumericError
@@ -413,6 +413,32 @@ class TestCheckpoint:
             fh.write(absurd_shape_checkpoint(shape))
         with pytest.raises(FormatError):
             load_checkpoint(bad)
+
+    @pytest.mark.parametrize("shape", ABSURD_SHAPES, ids=["2d", "3d"])
+    def test_absurd_shape_with_the_right_count_rejected(self, tmp_path, shape):
+        # with the count the config declares, the shape itself is refused
+        blob = bytearray(absurd_shape_checkpoint(shape))
+        cfg_len = struct.unpack_from("<I", blob, 8)[0]
+        count = len(param_specs(ModelConfig(bands=4, scale=2)))
+        struct.pack_into("<I", blob, 12 + cfg_len, count)
+        bad = tmp_path / "bad"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(FormatError) as err:
+            load_checkpoint(str(bad))
+        assert "do not match" not in str(err.value)
+
+    def test_huge_levels_rejected_from_the_count(self, tmp_path):
+        # param_specs grows with levels; a 2000-level config declaring no
+        # parameters is refused before they are built
+        bad = tmp_path / "bad"
+        bad.write_bytes(checkpoint_bytes({**asdict(MICRO), "levels": 2000}, {}))
+
+        def load():
+            with pytest.raises(FormatError, match="do not match the stored config"):
+                load_checkpoint(str(bad))
+
+        _, peak = traced_peak(load)
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("config,name,tail", [
         (b"{not json", None, b""),

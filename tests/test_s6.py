@@ -80,19 +80,33 @@ class TestNaiveForward:
         assert np.isfinite(out).all()
         assert np.abs(out[:, -1] - out[:, -2]).max() < 1e-6  # converged
 
-    @pytest.mark.parametrize("key", KEYS)
+    @pytest.mark.parametrize("key", KEYS + ["a_log-1d", "rank-2-at-d-16"])
     def test_param_shape_validation(self, key):
-        # one field's last axis one too long: d=2, n=4, r=1
-        _, raw = make_params(9, 2, 4)
-        raw[key] = np.ones(raw[key].shape[:-1] + (raw[key].shape[-1] + 1,))
+        # one field's last axis one too long: d=2, n=4, r=1; a 1-D a_log;
+        # a rank other than delta_rank(16) = 1
+        d = 16 if key == "rank-2-at-d-16" else 2
+        _, raw = make_params(9, d, 4)
+        if key == "a_log-1d":
+            raw["a_log"] = raw["a_log"].ravel()
+        elif key == "rank-2-at-d-16":
+            raw["w_dt_down"], raw["w_dt_up"] = np.ones((2, d)), np.ones((d, 2))
+        else:
+            raw[key] = np.ones(raw[key].shape[:-1] + (raw[key].shape[-1] + 1,))
         bad = S6Params(**{k: Tensor(v) for k, v in raw.items()})
         with pytest.raises(ContractViolation, match="inconsistent"):
-            _s6_core(Tensor(np.zeros((1, 2, 4))), [bad])
+            _s6_core(Tensor(np.zeros((1, d, 4))), [bad])
 
     def test_param_d_must_match_sequence(self):
         p, _ = make_params(9, 3, 4)  # consistent, but d=3
         with pytest.raises(ContractViolation, match="d=3 does not match"):
             _s6_core(Tensor(np.zeros((1, 2, 4))), [p])
+
+    @pytest.mark.parametrize("shape", [(2, 4), (2, 1, 2, 4), (2, 2, 4)],
+                             ids=["2d", "4d", "two-entries"])
+    def test_sequence_must_be_one_entry_per_head(self, shape):
+        p, _ = make_params(9, 2, 4)
+        with pytest.raises(ContractViolation, match="one S6Params required per"):
+            _s6_core(Tensor(np.zeros(shape)), [p])
 
 
 class TestCore:
@@ -112,6 +126,38 @@ class TestCore:
             assert plain.node_id is None and taped.node_id is not None
             assert plain.dtype == taped.dtype == dtype
             np.testing.assert_array_equal(plain.data, taped.data)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_heads_repeated_per_sample_equal_one_call_each(self, dtype):
+        # two samples' four directions as one 8-entry batch, heads * 2:
+        # exactly the outputs of one 4-entry call per sample
+        d, n, t = 32, 16, 600
+        heads = [make_params(90 + k, d, n, dtype=dtype)[0] for k in range(4)]
+        x = rng(91).normal(size=(8, d, t)).astype(dtype)
+        both = _s6_core(Tensor(x.copy()), heads * 2).data
+        each = [_s6_core(Tensor(x[s].copy()), heads).data
+                for s in (slice(0, 4), slice(4, 8))]
+        assert np.array_equal(both, np.concatenate(each))
+
+    def test_heads_repeated_per_sample_sum_their_gradients(self):
+        # on the tape, each head's gradient from the 8-entry batch is the
+        # sum of its gradients from the two 4-entry calls
+        d, n, t = 32, 16, 600
+        raws = [make_params(90 + k, d, n)[1] for k in range(4)]
+        x = rng(91).normal(size=(8, d, t))
+        w = Tensor(rng(92).normal(size=x.shape))
+
+        def head_grads(calls):
+            tape = Tape()
+            heads = [S6Params(**{k: tape.leaf(v) for k, v in raw.items()})
+                     for raw in raws]
+            ys = [_s6_core(tape.leaf(xs), heads * (2 // calls))
+                  for xs in np.split(x, calls)]
+            tape.backward(T.reduce_mean(T.mul(T.concat(ys, axis=0), w)))
+            return [tape.grad(f) for head in heads for f in head]
+
+        for one, two in zip(head_grads(1), head_grads(2)):
+            assert rel_err(one, two) < 1e-12
 
     @pytest.mark.parametrize("b_dt", [30.0, -30.0])
     def test_saturating_and_vanishing_step_match_oracle(self, b_dt):

@@ -70,6 +70,17 @@ class TestBijectionExhaustive:
                     make_order("stripe", h, w, full, direction).perm,
                     make_order("raster", h, w, 1, direction).perm)
 
+    @pytest.mark.parametrize("kind", ["raster", "stripe", "window"])
+    def test_param_past_grid_size_orders_as_grid_size(self, kind):
+        # 2^63 and past no longer fit an intp; a tile that long spans the
+        # grid like one of h * w
+        for h, w in ((5, 7), (7, 5), (1, 9), (4, 4)):
+            for direction in range(4):
+                want = make_order(kind, h, w, h * w, direction).perm
+                for param in (h * w + 1, 2**40, 2**62, 2**63, 2**70):
+                    np.testing.assert_array_equal(
+                        make_order(kind, h, w, param, direction).perm, want)
+
     def test_direction1_reverses_direction0(self):
         for kind in ("raster", "stripe", "window"):
             o0 = make_order(kind, 4, 6, 2, 0)
