@@ -8,7 +8,7 @@ cube I/O, degradation simulation, quality metrics, training and a CLI.
 
 from .errors import ContractViolation, FormatError, NumericError, StripeSrError
 from .tensor import Tensor, Tape, grad_check
-from .data import HsiCube, read_hsc, write_hsc, degrade, synth_cube, pseudo_color
+from .data import HsiCube, read_hsc, write_hsc, degrade, synth_cube
 from .metrics import MetricReport, psnr, ssim, sam, sam_error_map, ergas
 from .model import (
     ModelConfig,
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ContractViolation", "FormatError", "NumericError", "StripeSrError",
     "Tensor", "Tape", "grad_check",
-    "HsiCube", "read_hsc", "write_hsc", "degrade", "synth_cube", "pseudo_color",
+    "HsiCube", "read_hsc", "write_hsc", "degrade", "synth_cube",
     "MetricReport", "psnr", "ssim", "sam", "sam_error_map", "ergas",
     "ModelConfig", "ModelWeights", "init_weights", "forward", "infer",
     "count_params", "estimate_flops", "save_checkpoint", "load_checkpoint",

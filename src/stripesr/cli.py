@@ -43,13 +43,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic hyperspectral cube")
     p.add_argument("--seed", type=_int_at_least(0), default=0,
-                   help="RNG seed (default: 0)")
+                   help="RNG seed (default: %(default)s)")
     p.add_argument("--bands", type=_int_at_least(1), default=8,
-                   help="spectral bands (default: 8)")
+                   help="spectral bands (default: %(default)s)")
     p.add_argument("--size", type=_int_at_least(1), default=64,
-                   help="square spatial size (default: 64)")
+                   help="square spatial size (default: %(default)s)")
     p.add_argument("--smoothness", type=float, default=1.0,
-                   help="spatial blob scale factor (default: 1.0)")
+                   help="spatial blob scale factor (default: %(default)s)")
     p.add_argument("--out", required=True, help="output HSC path")
 
     p = sub.add_parser("degrade", help="blur + downsample a cube")
@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True, help="ground-truth HSC path")
     p.add_argument("--scale", type=int, choices=hsd.SCALES, required=True)
     p.add_argument("--steps", type=_int_at_least(1), default=200,
-                   help="optimizer steps (default: 200)")
+                   help="optimizer steps (default: %(default)s)")
     p.add_argument("--ckpt", required=True, help="output checkpoint (HSRW)")
     p.add_argument("--hidden", type=_int_at_least(1), default=mdef["hidden"],
                    help="hidden channels D (default: %(default)s)")
@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patch", type=_int_at_least(1), default=None,
                    help="GT patch size (default: 64, or 128 at scale 8)")
     p.add_argument("--patches", type=_int_at_least(1), default=32,
-                   help="patches sampled for the epoch pool (default: 32)")
+                   help="patches sampled for the epoch pool (default: %(default)s)")
     p.add_argument("--ckpt-interval", type=_int_at_least(1), default=None,
                    help="also checkpoint every N steps (default: off)")
     p.add_argument("--loss-csv", default=None,
@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True, help="predicted HSC path")
     p.add_argument("--gt", required=True, help="reference HSC path")
     p.add_argument("--scale", type=int, choices=hsd.SCALES, default=4,
-                   help="scale factor for ERGAS (default: 4)")
+                   help="scale factor for ERGAS (default: %(default)s)")
     p.add_argument("--csv", required=True, help="output CSV (one row)")
     p.add_argument("--sam-map", default=None,
                    help="optional P6 image of the SAM error map (default: off)")
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=KINDS, default=mdef["scan_kind"],
                    help="scan kind (default: %(default)s)")
     p.add_argument("--direction", type=int, choices=(0, 1, 2, 3), default=0,
-                   help="directional variant (default: 0)")
+                   help="directional variant (default: %(default)s)")
     p.add_argument("--out", required=True,
                    help="output prefix; writes <out>.txt and <out>.ppm")
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ContractViolation, FormatError
 from . import ops
-from .tensor import Tensor, all_finite
+from .tensor import Tensor, all_finite, check_nbytes
 
 log = logging.getLogger(__name__)
 
@@ -102,8 +102,7 @@ def write_hsc(cube: HsiCube, path: str) -> None:
     c, h, w = cube.data.shape
     lo, hi = cube.value_range
     with atomic_open(path) as fh:
-        fh.write(HSC_MAGIC)
-        fh.write(struct.pack("<IIIff", c, h, w, lo, hi))
+        fh.write(HSC_HEADER.pack(HSC_MAGIC, c, h, w, lo, hi))
         fh.write(cube.data.astype("<f4", copy=False).tobytes())
 
 
@@ -133,8 +132,10 @@ def read_hsc(path: str) -> HsiCube:
     return HsiCube(data=clipped, value_range=(lo, hi))
 
 
-def gaussian3_kernel(sigma: float = 0.5) -> np.ndarray:
-    """Normalized 3x3 Gaussian; weights sum to 1."""
+def gaussian3_kernel() -> np.ndarray:
+    """Normalized 3x3 Gaussian of sigma 0.5, the degradation blur; weights
+    sum to 1."""
+    sigma = 0.5
     ij = np.arange(-1, 2, dtype=np.float64)
     k = np.exp(-(ij[:, None] ** 2 + ij[None, :] ** 2) / (2.0 * sigma**2))
     return k / k.sum()
@@ -165,8 +166,9 @@ def synth_cube(seed: int, bands: int, height: int, width: int,
         raise ContractViolation(f"smoothness must be finite and > 0, got {smoothness}")
     if seed < 0:
         raise ContractViolation(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
     n_blobs = 8
+    check_nbytes((max(bands, n_blobs), height, width))  # the float64 cubes
+    rng = np.random.default_rng(seed)
     yy, xx = np.mgrid[0:height, 0:width].astype(np.float64)
     blobs = np.empty((n_blobs, height, width))
     for k in range(n_blobs):
@@ -196,16 +198,6 @@ def _p6(rgb: np.ndarray) -> bytes:
     """An (H, W, 3) uint8 array as a binary P6 portable pixmap."""
     h, w, _ = rgb.shape
     return f"P6\n{w} {h}\n255\n".encode() + rgb.tobytes()
-
-
-def pseudo_color(cube: HsiCube, r_band: int = 20, g_band: int = 30,
-                 b_band: int = 40) -> bytes:
-    """Min-max-stretched 3-band composite as a binary P6 portable pixmap."""
-    for b in (r_band, g_band, b_band):
-        if not 0 <= b < cube.bands:
-            raise ContractViolation(f"band index {b} out of range (C={cube.bands})")
-    return _p6(np.stack(
-        [_stretch_band(cube.data[b]) for b in (r_band, g_band, b_band)], axis=-1))
 
 
 def gray_to_p6(img: np.ndarray) -> bytes:

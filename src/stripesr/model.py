@@ -104,6 +104,7 @@ def param_specs(cfg: ModelConfig):
 
 
 def _init_array(shape, kind, rng: np.random.Generator) -> np.ndarray:
+    T.check_nbytes(shape)  # float64 before the float32 cast
     if kind == "zeros":
         return np.zeros(shape, dtype=np.float32)
     if kind == "ones":

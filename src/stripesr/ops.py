@@ -2,7 +2,7 @@
 
 Convolution (grouped / dilated, stride 1, reflect "same" padding; one GEMM
 per block of output rows forward, one per kernel tap backward), channel
-layer norm, squeeze-excite channel attention, Keys bicubic resampling,
+layer norm, squeeze-excite channel attention, Keys bicubic upscaling,
 AdamW and the L1 objective. Images are (C, H, W).
 Each taped op is one `tensor.record` over all its inputs; its backward
 closure returns one gradient per input, and the tape decides which it keeps.
@@ -230,32 +230,28 @@ def _keys_weights(n_in: int, n_out: int, scale: float, dtype) -> np.ndarray:
     return mat
 
 
-def bicubic_resize(x: Tensor, scale: float) -> Tensor:
-    """Separable Keys-cubic resize per band; never tape-recorded."""
-    if scale <= 0:
-        raise ContractViolation("bicubic_resize: scale must be positive")
-    _, h, w = x.shape
-    ho, wo = h * scale, w * scale
-    if abs(ho - round(ho)) > 1e-9 or abs(wo - round(wo)) > 1e-9:
+def bicubic_resize(x: Tensor, scale: int) -> Tensor:
+    """Separable Keys-cubic upscale of each band by an integer `scale` >= 1;
+    never tape-recorded."""
+    if type(scale) is not int or scale < 1:
         raise ContractViolation(
-            f"bicubic_resize: scale {scale} gives non-integral dims for {h}x{w}"
-        )
-    ho, wo = int(round(ho)), int(round(wo))
-    wr = _keys_weights(h, ho, scale, x.dtype)
-    wc = _keys_weights(w, wo, scale, x.dtype)
+            f"bicubic_resize: scale must be an int >= 1, got {scale!r}")
+    _, h, w = x.shape
+    wr = _keys_weights(h, h * scale, scale, x.dtype)
+    wc = _keys_weights(w, w * scale, scale, x.dtype)
     out = np.einsum("oh,chw,pw->cop", wr, x.data, wc, optimize=True)
     return Tensor(np.ascontiguousarray(out, dtype=x.dtype))
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+ADAM_WEIGHT_DECAY = 1e-4
 
 
 @dataclass
 class OptState:
-    """AdamW state of one run. Only `lr` and `weight_decay` are set per run;
-    the moment decays and eps are the `ADAM_*` constants."""
+    """AdamW state of one run. Only `lr` is set per run; the moment decays,
+    eps and the weight decay are the `ADAM_*` constants."""
     lr: float = 1e-4
-    weight_decay: float = 1e-4
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -289,7 +285,7 @@ def adamw_step(params: dict, grads: dict, state: OptState) -> None:
         v += (1.0 - ADAM_BETA2) * g * g
         with np.errstate(over="ignore", invalid="ignore"):
             update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-            p -= state.lr * (update + state.weight_decay * p)
+            p -= state.lr * (update + ADAM_WEIGHT_DECAY * p)
         if not T.all_finite(p):
             raise NumericError(f"adamw_step: the update made {name} non-finite")
 

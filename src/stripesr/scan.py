@@ -58,6 +58,7 @@ def make_order(kind: str, h: int, w: int, param: int, direction: int = 0) -> Sca
         raise ContractViolation(f"grid dims must be positive, got {h}x{w}")
     if param < 1:
         raise ContractViolation(f"scan param must be >= 1, got {param}")
+    T.check_nbytes((h, w))  # the intp permutations
     # a tile side of h * w spans the grid; a larger one can overflow intp
     tile = _TILES[kind](h, w, min(param, h * w))
     if direction in (0, 1):

@@ -12,6 +12,8 @@ and `mul` must share a shape: nothing on the tape broadcasts.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ContractViolation
@@ -149,6 +151,14 @@ def all_finite(a) -> bool:
     """Whether every value of the numpy array `a` is finite. min and max
     propagate NaN and reach +-inf, so no mask is built."""
     return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
+def check_nbytes(shape) -> None:
+    """Raise MemoryError naming `shape` if its array of 8-byte items (float64,
+    intp) would span more bytes than numpy can index (numpy: ValueError)."""
+    if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(
+            f"an array of shape {tuple(shape)} exceeds the address space")
 
 
 def logistic(x):

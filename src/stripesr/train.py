@@ -29,7 +29,6 @@ class TrainConfig:
     epochs: int = 50
     gt_patch: int | None = None  # derived from scale when None
     seed: int = 0
-    weight_decay: float = 1e-4
     max_steps: int | None = None
     loss_target: float | None = None  # absolute early-stop threshold
 
@@ -37,8 +36,6 @@ class TrainConfig:
         # reject bad settings before any patch is sampled or step is run
         checks = (
             ("lr must be finite and > 0", math.isfinite(self.lr) and self.lr > 0),
-            ("weight_decay must be finite and >= 0",
-             math.isfinite(self.weight_decay) and self.weight_decay >= 0),
             ("batch must be >= 1", self.batch >= 1),
             ("epochs must be >= 0", self.epochs >= 0),
             ("seed must be >= 0", self.seed >= 0),
@@ -96,7 +93,7 @@ def train(dataset, cfg: TrainConfig, mcfg: ModelConfig,
         raise ContractViolation("train: empty dataset")
     if weights is None:
         weights = init_weights(mcfg)
-    state = ops.OptState(lr=cfg.lr, weight_decay=cfg.weight_decay)
+    state = ops.OptState(lr=cfg.lr)
     shuffle_rng = np.random.default_rng(cfg.seed)
     curve: list[float] = []
     step = 0

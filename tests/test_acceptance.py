@@ -34,7 +34,7 @@ from stripesr.data import (
     HsiCube,
     degrade,
     gaussian3_kernel,
-    pseudo_color,
+    gray_to_p6,
     read_hsc,
     synth_cube,
     write_hsc,
@@ -108,7 +108,7 @@ def overfit_run(scan_kind: str):
     ds, gt, lr = overfit_dataset()
     mcfg = ModelConfig(bands=8, scale=2, hidden=16, levels=1, stripe=4,
                        state=16, scan_kind=scan_kind, seed=2)
-    base = dict(lr=1e-4, batch=1, gt_patch=32, seed=2, weight_decay=0.0)
+    base = dict(lr=1e-4, batch=1, gt_patch=32, seed=2)
     _, probe = train(ds, TrainConfig(epochs=1, max_steps=1, **base), mcfg)
     initial = probe[0]
     cfg = TrainConfig(epochs=OVERFIT_STEPS, max_steps=OVERFIT_STEPS,
@@ -430,7 +430,7 @@ def test_criterion_07_metrics_best_value_row(capsys):
 
 def test_criterion_08_degradation_protocol(capsys):
     with criterion(capsys, 8, "degradation protocol"):
-        k = gaussian3_kernel(0.5)
+        k = gaussian3_kernel()
         assert k.shape == (3, 3)
         assert abs(k.sum() - 1.0) < 1e-7
         const = HsiCube(np.full((5, 16, 16), 0.375, dtype=np.float32),
@@ -504,7 +504,7 @@ def test_criterion_11_determinism(capsys, tmp_path):
                    for k in weights.params)
 
         # P6 preview and loss CSV
-        assert pseudo_color(gt, 1, 3, 5) == pseudo_color(gt, 1, 3, 5)
+        assert gray_to_p6(gt.data[3]) == gray_to_p6(gt.data[3])
         la, lb = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         write_loss_csv(curve, la)
         write_loss_csv(curve, lb)

@@ -282,6 +282,44 @@ class TestTrainInferEval:
                    "--out", str(tmp_path / "x.hsc")) == 2
         assert "trailing bytes" in capsys.readouterr().err
 
+    def test_infer_unsupported_version_exit_2(self, gt_path, tmp_path, capsys):
+        ckpt = tmp_path / "m.hsrw"
+        cfg = ModelConfig(bands=4, scale=2, hidden=8, levels=1)
+        save_checkpoint(init_weights(cfg), str(ckpt))
+        blob = bytearray(ckpt.read_bytes())
+        struct.pack_into("<I", blob, 4, 2)
+        ckpt.write_bytes(bytes(blob))
+        out = tmp_path / "x.hsc"
+        assert run("infer", "--in", gt_path, "--ckpt", str(ckpt),
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: unsupported checkpoint version 2\n"
+        assert not out.exists()
+
+    # each value makes numpy refuse the array's shape before it allocates
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--bands", str(2**64)],
+        ["synth", "--size", str(2**64)],
+        ["synth", "--bands", str(2**63 - 1)],
+        ["train", "--hidden", str(2**64)],
+        ["train", "--state", str(2**64)],
+        ["scan-viz", "--height", str(2**70), "--width", "1"],
+    ], ids=["synth-bands-2^64", "synth-size-2^64", "synth-bands-2^63-1",
+            "train-hidden-2^64", "train-state-2^64", "scan-viz-height-2^70"])
+    def test_shape_past_the_address_space_exit_2(self, gt_path, tmp_path,
+                                                 capsys, argv):
+        cmd, *flags = argv
+        out = str(tmp_path / "out")
+        if cmd == "train":
+            flags += ["--gt", gt_path, "--scale", "2", "--steps", "1",
+                      "--patch", "16", "--ckpt", out]
+        else:
+            flags += ["--out", out]
+        assert run(cmd, *flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cmd}: not enough memory: an array of shape")
+        assert err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["gt.hsc"]
+
     @pytest.mark.parametrize("shape", ABSURD_SHAPES, ids=["2d", "3d"])
     def test_infer_absurd_shape_exit_2(self, gt_path, tmp_path, capsys, shape):
         bad = str(tmp_path / "bad.hsrw")

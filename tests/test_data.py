@@ -1,4 +1,4 @@
-"""HSC cube I/O, degradation, synthetic cubes, pseudo-color export."""
+"""HSC cube I/O, degradation, synthetic cubes, P6 export."""
 
 import os
 import stat
@@ -15,7 +15,6 @@ from stripesr.data import (
     degrade,
     gaussian3_kernel,
     gray_to_p6,
-    pseudo_color,
     read_hsc,
     synth_cube,
     write_hsc,
@@ -277,34 +276,14 @@ class TestSynthCube:
 
 
 class TestPseudoColor:
-    def test_p6_header_2x2(self):
-        cube = _cube(rng(0).random((3, 2, 2)))
-        blob = pseudo_color(cube, 0, 1, 2)
-        assert blob.startswith(b"P6\n2 2\n255\n")
-        assert len(blob) == len(b"P6\n2 2\n255\n") + 12
-
-    def test_default_band_indices(self):
-        cube = synth_cube(0, 48, 8, 8)
-        blob = pseudo_color(cube)  # defaults 20/30/40 must be in range
-        assert blob.startswith(b"P6\n8 8\n255\n")
-
-    def test_out_of_range_band_rejected(self):
-        with pytest.raises(ContractViolation):
-            pseudo_color(synth_cube(0, 4, 8, 8), 0, 1, 9)
-
     def test_constant_band_maps_to_mid_gray(self):
-        data = np.zeros((3, 2, 2), dtype=np.float32)
-        data[0] = 0.5  # constant red band
-        data[1] = [[0.0, 1.0], [0.5, 0.25]]
-        data[2] = [[0.0, 1.0], [0.5, 0.25]]
-        blob = pseudo_color(_cube(data), 0, 1, 2)
+        blob = gray_to_p6(np.full((2, 2), 0.5))
         pixels = np.frombuffer(blob.split(b"\n255\n", 1)[1], dtype=np.uint8)
-        assert (pixels[0::3] == 128).all()  # red channel degenerate stretch
+        assert (pixels == 128).all()  # degenerate stretch
 
     def test_stretch_uses_full_range(self):
-        data = np.zeros((3, 1, 2), dtype=np.float32)
-        data[:, 0, 1] = 0.25  # min-max stretch, not absolute scaling
-        blob = pseudo_color(_cube(data), 0, 1, 2)
+        data = np.array([[0.0, 0.25]])  # min-max stretch, not absolute scaling
+        blob = gray_to_p6(data)
         pixels = np.frombuffer(blob.split(b"\n255\n", 1)[1], dtype=np.uint8)
         assert set(pixels) == {0, 255}
 

@@ -172,6 +172,14 @@ class TestForward:
         with pytest.raises(ContractViolation):
             infer(np.zeros((3, 8, 8), dtype=np.float32), init_weights(MICRO))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_input_rejected(self, bad):
+        x = np.zeros((4, 8, 8), dtype=np.float32)
+        x[1, 2, 3] = bad
+        with pytest.raises(NumericError,
+                           match="forward: input contains non-finite values"):
+            infer(x, init_weights(MICRO))
+
     def test_forward_deterministic(self):
         w = init_weights(MICRO)
         x = rng(3).random((4, 8, 8)).astype(np.float32)
@@ -403,6 +411,32 @@ class TestCheckpoint:
             fh.write(bytes(blob))
         with pytest.raises(FormatError):
             load_checkpoint(bad)
+
+    def test_unsupported_version_rejected(self, tmp_path):
+        path = tmp_path / "m.hsrw"
+        save_checkpoint(init_weights(MICRO), str(path))
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, 4, 2)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="unsupported checkpoint version 2"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("tamper", ["renamed", "transposed"])
+    def test_names_and_shapes_checked_after_the_count(self, tmp_path, tamper):
+        # the right parameter count and sizes, so only the final
+        # name-and-shape comparison can refuse the file
+        params = init_weights(MICRO).params
+        if tamper == "renamed":
+            params = {("global.head.x" if k == "global.head.w" else k): v
+                      for k, v in params.items()}
+        else:
+            name = next(k for k, v in params.items()
+                        if v.ndim == 2 and v.shape[0] != v.shape[1])
+            params = {**params, name: params[name].T}
+        bad = tmp_path / "bad.hsrw"
+        bad.write_bytes(checkpoint_bytes(asdict(MICRO), params))
+        with pytest.raises(FormatError, match="do not match the stored config"):
+            load_checkpoint(str(bad))
 
     @pytest.mark.parametrize("shape", ABSURD_SHAPES, ids=["2d", "3d"])
     def test_absurd_shape_rejected_before_reading(self, tmp_path, shape):

@@ -354,9 +354,10 @@ class TestBicubic:
         inner = slice(margin, w * s - margin)
         assert np.abs(up[:, inner] - src[inner][None, :]).max() < 1e-5
 
-    def test_downscale_shape(self):
-        x = rng(12).random((2, 8, 8))
-        assert ops.bicubic_resize(_t64(x), 0.5).data.shape == (2, 4, 4)
+    @pytest.mark.parametrize("scale", [0, -2, 0.5, 2.0, True])
+    def test_scale_must_be_an_int_at_least_one(self, scale):
+        with pytest.raises(ContractViolation, match="scale must be an int >= 1"):
+            ops.bicubic_resize(_t64(np.zeros((1, 4, 4))), scale)
 
     def test_kernel_weights_rows_sum_to_one(self):
         w = ops._keys_weights(8, 16, 2.0, np.float64)
@@ -377,31 +378,32 @@ class TestBicubic:
 
 class TestAdamW:
     def test_single_step_hand_recurrence(self):
-        # f(x) = x^2 at x = 1, lr = 0.1, wd = 0
+        # f(x) = x^2 at x = 1, lr = 0.1
         params = {"x": np.array([1.0], dtype=np.float64)}
         grads = {"x": np.array([2.0], dtype=np.float64)}
-        state = OptState(lr=0.1, weight_decay=0.0)
+        state = OptState(lr=0.1)
         ops.adamw_step(params, grads, state)
         # hand-run: m = 0.2, v = 0.004, mhat = 2, vhat = 4,
-        # x -= 0.1 * 2 / (2 + 1e-8)
-        want = 1.0 - 0.1 * 2.0 / (2.0 + 1e-8)
+        # x -= 0.1 * (2 / (2 + 1e-8) + wd * 1)
+        want = 1.0 - 0.1 * (2.0 / (2.0 + 1e-8) + ops.ADAM_WEIGHT_DECAY * 1.0)
         assert params["x"][0] == pytest.approx(want, rel=1e-12)
         assert params["x"][0] < 1.0
 
     def test_decoupled_weight_decay(self):
         params = {"x": np.array([2.0], dtype=np.float64)}
         grads = {"x": np.array([0.0], dtype=np.float64)}
-        state = OptState(lr=0.5, weight_decay=0.1)
+        state = OptState(lr=0.5)
         ops.adamw_step(params, grads, state)
         # zero grad: only the decay path moves x: x -= lr * wd * x
-        assert params["x"][0] == pytest.approx(2.0 - 0.5 * 0.1 * 2.0)
+        want = 2.0 - 0.5 * ops.ADAM_WEIGHT_DECAY * 2.0
+        assert params["x"][0] == pytest.approx(want, rel=1e-12)
 
     def test_three_steps_match_reference_loop(self):
         g = rng(13)
         x0 = g.normal(size=(4,))
         gs = [g.normal(size=(4,)) for _ in range(3)]
         params = {"x": x0.copy()}
-        state = OptState(lr=0.01, weight_decay=0.01)
+        state = OptState(lr=0.01)
         for gr in gs:
             ops.adamw_step(params, {"x": gr}, state)
         # independent straight-line reference
@@ -413,7 +415,7 @@ class TestAdamW:
             v = 0.999 * v + 0.001 * gr * gr
             mh = m / (1 - 0.9**t)
             vh = v / (1 - 0.999**t)
-            x = x - 0.01 * (mh / (np.sqrt(vh) + 1e-8) + 0.01 * x)
+            x = x - 0.01 * (mh / (np.sqrt(vh) + 1e-8) + ops.ADAM_WEIGHT_DECAY * x)
         np.testing.assert_allclose(params["x"], x, rtol=1e-12)
 
     def test_state_counts_steps(self):

@@ -137,16 +137,13 @@ class TestTrainLoop:
         assert c1 == c2  # bit-identical floats
 
     def test_single_small_step_decreases_loss(self):
-        cfg = TrainConfig(lr=1e-5, batch=1, epochs=2, gt_patch=16,
-                          weight_decay=0.0, seed=0)
+        cfg = TrainConfig(lr=1e-5, batch=1, epochs=2, gt_patch=16, seed=0)
         _, curve = train(micro_dataset(), cfg, MICRO)
         assert curve[1] < curve[0]
 
     @pytest.mark.parametrize("field, value", [
         ("lr", float("nan")), ("lr", float("inf")), ("lr", 0.0),
-        ("lr", -1e-4), ("weight_decay", float("nan")),
-        ("weight_decay", float("inf")), ("weight_decay", -1e-4),
-        ("batch", 0), ("epochs", -1), ("seed", -1), ("max_steps", 0),
+        ("lr", -1e-4), ("batch", 0), ("epochs", -1), ("seed", -1), ("max_steps", 0),
         ("loss_target", float("nan")), ("loss_target", float("-inf")),
     ])
     def test_bad_setting_rejected_on_construction(self, field, value):
@@ -170,8 +167,7 @@ class TestTrainLoop:
     def test_non_finite_loss_without_nan_weights_path(self):
         # huge lr drives weights to overflow within a few steps; the
         # diagnostic still names the failing step
-        cfg = TrainConfig(batch=1, epochs=50, gt_patch=16, lr=1e18,
-                          weight_decay=0.0)
+        cfg = TrainConfig(batch=1, epochs=50, gt_patch=16, lr=1e18)
         with pytest.raises(NumericError) as err:
             train(micro_dataset(), cfg, MICRO)
         assert "step" in str(err.value)
