@@ -171,10 +171,15 @@ def synth_cube(seed: int, bands: int, height: int, width: int,
     rng = np.random.default_rng(seed)
     yy, xx = np.mgrid[0:height, 0:width].astype(np.float64)
     blobs = np.empty((n_blobs, height, width))
-    for k in range(n_blobs):
-        cy, cx = rng.uniform(0, height), rng.uniform(0, width)
-        sig = smoothness * rng.uniform(0.08, 0.35) * min(height, width)
-        blobs[k] = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * sig**2))
+    try:  # a blob width whose square overflows or vanishes
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for k in range(n_blobs):
+                cy, cx = rng.uniform(0, height), rng.uniform(0, width)
+                sig = smoothness * rng.uniform(0.08, 0.35) * min(height, width)
+                blobs[k] = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * sig**2))
+    except (OverflowError, FloatingPointError):
+        raise ContractViolation(f"smoothness {smoothness} puts the blob widths "
+                                "outside float64's range") from None
     # per-blob band profiles: slow multiplicative random walk
     prof = np.empty((n_blobs, bands))
     prof[:, 0] = rng.uniform(0.3, 1.0, size=n_blobs)
@@ -182,6 +187,8 @@ def synth_cube(seed: int, bands: int, height: int, width: int,
         prof[:, b] = prof[:, b - 1] * (1.0 + 0.05 * rng.standard_normal(n_blobs))
     cube = np.einsum("kb,khw->bhw", np.abs(prof), blobs)
     lo, hi = cube.min(), cube.max()
+    if not hi > lo:  # blobs too narrow to reach a pixel, or too wide to vary
+        raise ContractViolation(f"smoothness {smoothness} makes a constant cube")
     cube -= lo  # in place: one float64 cube, then the float32 output
     cube /= max(hi - lo, 1e-12)
     return HsiCube(data=cube.astype(np.float32), value_range=(0.0, 1.0))

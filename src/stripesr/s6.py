@@ -8,16 +8,17 @@ The recurrence per channel d and state n over a token sequence x_t:
     y_t     = <C_t, h_t> + D_skip * x_t
 
 B_t and C_t are linear projections of x_t shared across channels. The
-forward loops over chunks of CHUNK tokens, carrying h; in each chunk h_t
-overwrites its decay Abar_t in place (time-major). Each chunk stage is one
-numpy kernel: GEMMs for the projections, `tensor.softplus` for delta, einsum
-for the outer products delta*A and (delta*x) B_t, and a batched matmul for
-the readout <C_t, h_t>. Untaped calls reuse one chunk's buffers and write
-y over their input sequences when those have the result dtype; taped calls
-write into whole-T arrays that the hand-written backward reads. It
-recomputes the decays, loops only over the dL/dh_t recurrence and takes
-every other gradient over all of T: per-token contractions and sums over T
-as batched matmuls, and einsums where a matmul would broadcast A's (B, d).
+forward loops over chunks of CHUNK tokens, carrying h. Each chunk stage is
+one numpy kernel: GEMMs for the projections, `tensor.softplus` for delta,
+einsum for the outer products delta*A and (delta*x) B_t, and a batched
+matmul for the readout <C_t, h_t>. States live in one chunk's time-major
+buffer. A taped call keeps only the state entering each chunk, and the
+hand-written backward walks the chunks in reverse, recomputing each
+chunk's states from it (Mamba's recompute-in-backward, Gu & Dao 2023,
+arXiv 2312.00752). It loops only over the dL/dh_t recurrence, carrying
+dL/dh across chunk edges, and takes every other gradient per token or as
+a sum over T: batched matmuls, and einsums where a matmul would broadcast
+A's (B, d).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from . import tensor as T
 from .tensor import Tensor
 from .scan import ScanOrder, gather_tokens, scatter_tokens
 
-CHUNK = 256  # tokens per step of the forward's chunk loop
+CHUNK = 256  # tokens per chunk of the forward and of the backward's recompute
 
 
 class S6Params(NamedTuple):
@@ -68,6 +69,21 @@ def head_specs(d: int, n: int):
     ]
 
 
+def _chunk_states(delta, dbx, b_t, a, h, dcy, st, tmp):
+    """One chunk's decays exp(delta * A) into dcy and its states into st,
+    from the entry state h: st first holds the injections (delta*x) B_t,
+    and each becomes its state as s += dcy*h through the (B, d, n) scratch
+    tmp. The forward and the backward's recompute both call this, so their
+    states agree bit for bit."""
+    # einsum writes these outer products faster than a broadcast over the
+    # short n axis
+    np.exp(np.einsum("tbd,bdn->tbdn", delta, a, out=dcy), out=dcy)
+    np.einsum("tbd,tbn->tbdn", dbx, b_t, out=st)
+    for dc, s in zip(dcy, st):
+        s += np.multiply(dc, h, out=tmp)
+        h = s
+
+
 def _s6_core(seq: Tensor, params: list[S6Params]) -> Tensor:
     """Batched fused scan: seq (B, d, T), one head per batch entry. Heads
     may repeat, so a layout is a list of heads: per direction, per sample.
@@ -75,7 +91,8 @@ def _s6_core(seq: Tensor, params: list[S6Params]) -> Tensor:
     An untaped call consumes seq: when seq has the result dtype, y is
     written over seq's data, each chunk reading its x slice before it
     writes its y slice. Callers that read seq afterwards pass a copy. A
-    taped call keeps x for backward and writes y to a new array."""
+    taped call writes y to a new array and keeps x, the whole-T per-token
+    projections and each chunk's entry state for backward."""
     if len(seq.shape) != 3 or len(params) != seq.shape[0]:
         raise ContractViolation("one S6Params required per batch entry of a (B, d, T) "
                                 f"sequence, got {len(params)} for {seq.shape}")
@@ -98,24 +115,23 @@ def _s6_core(seq: Tensor, params: list[S6Params]) -> Tensor:
         a = -np.exp(a_log)
     n, r = a.shape[2], w_dn.shape[1]
     dtype = np.result_type(x, a_log, d_skip, w_b, w_c, w_dn, w_up, b_dt)
-    # a taped call keeps whole-T arrays for backward; an untaped one reuses
-    # one chunk's rows
+    chunk, starts = min(t, CHUNK), range(0, t, CHUNK)
+    # an untaped call reuses one chunk's rows and carries one state
     taped = any(v.tape is not None for v in inputs)
-    code_, delta_, b_t_, c_t_, dbx_, hs_ = (
-        np.empty((t if taped else min(t, CHUNK), nb, *k), dtype)
-        for k in ((r,), (d,), (n,), (n,), (d,), (d, n)))
-    ub_ = np.empty((min(t, CHUNK), nb, d, n), dtype)
-    # the softplus scratch and the readout borrow the front of ub's memory:
-    # both run while ub holds no injections
-    sp_ = ub_.reshape(-1)[: ub_.shape[0] * nb * d].reshape(-1, nb, d)
+    code_, delta_, b_t_, c_t_, dbx_ = (
+        np.empty((t if taped else chunk, nb, k), dtype) for k in (r, d, n, n, d))
+    h0 = np.zeros((len(starts) if taped else 1, nb, d, n), dtype)
+    dcy_, st_ = (np.empty((chunk, nb, d, n), dtype) for _ in range(2))
+    tmp = np.empty((nb, d, n), dtype)
+    # the softplus scratch and the readout borrow the front of the decays'
+    # memory: both run while it holds no decays the chunk still needs
+    sp_ = dcy_.reshape(-1)[: chunk * nb * d].reshape(-1, nb, d)
     y = x if not taped and x.dtype == dtype else np.empty((nb, d, t), dtype)
-    h = np.zeros((nb, d, n), dtype)
-    for c0 in range(0, t, CHUNK):
+    for k, c0 in enumerate(starts):
         c1 = min(c0 + CHUNK, t)
         at = slice(c0, c1) if taped else slice(0, c1 - c0)
-        code, delta, b_t, c_t, dbx, st = (
-            v[at] for v in (code_, delta_, b_t_, c_t_, dbx_, hs_))
-        ub, sp = ub_[: c1 - c0], sp_[: c1 - c0]
+        code, delta, b_t, c_t, dbx = (v[at] for v in (code_, delta_, b_t_, c_t_, dbx_))
+        dcy, st, sp = dcy_[: c1 - c0], st_[: c1 - c0], sp_[: c1 - c0]
         xs = x[:, :, c0:c1]
         xc = xs.transpose(2, 0, 1)
         # (B, k, L) GEMMs written through time-major (L, B, k) views
@@ -126,15 +142,9 @@ def _s6_core(seq: Tensor, params: list[S6Params]) -> Tensor:
         np.matmul(w_b.transpose(0, 2, 1), xs, out=b_t.transpose(1, 2, 0))
         np.matmul(w_c.transpose(0, 2, 1), xs, out=c_t.transpose(1, 2, 0))
         np.multiply(delta, xc, out=dbx)
-        # each state overwrites its own decay exp(delta * A); einsum writes
-        # these outer products faster than a broadcast over the short n axis
-        np.exp(np.einsum("tbd,bdn->tbdn", delta, a, out=st), out=st)
-        np.einsum("tbd,tbn->tbdn", dbx, b_t, out=ub)
-        for s, u in zip(st, ub):
-            s *= h
-            s += u
-            h = s
-        h = h.copy()
+        _chunk_states(delta, dbx, b_t, a, h0[k if taped else 0], dcy, st, tmp)
+        if c1 < t:
+            h0[k + 1 if taped else 0] = st[-1]
         # into the contiguous scratch the matmul runs up to 2x faster than
         # into the strided output view
         np.matmul(st, c_t[..., None], out=sp[..., None])
@@ -146,23 +156,38 @@ def _s6_core(seq: Tensor, params: list[S6Params]) -> Tensor:
 
     def backward(gy):
         xt, gyt = x.transpose(2, 0, 1), gy.transpose(2, 0, 1)
-        delta, code, b_t, c_t, dbx, hs = delta_, code_, b_t_, c_t_, dbx_, hs_
-        abar = np.einsum("tbd,bdn->tbdn", delta, a)
-        np.exp(abar, out=abar)
-        # gh[i] = dL/dh_i; only this recurrence runs token by token, and
-        # each step leaves g_da's product abar[i+1] * gh[i+1] in abar[i+1]
-        gh = np.einsum("tbd,tbn->tbdn", gyt, c_t)
-        for i in range(t - 2, -1, -1):
-            gh[i] += np.multiply(abar[i + 1], gh[i + 1], out=abar[i + 1])
-        g_ct = np.matmul(gyt[:, :, None, :], hs)[:, :, 0]  # (1, d) @ (d, n)
-        g_bt = np.matmul(dbx[:, :, None, :], gh)[:, :, 0]
-        g_dbx = np.matmul(gh, b_t[..., None])[..., 0]  # (d, n) @ (n, 1)
-        del gh  # so that it is not held through the whole-T work below
-        g_da = abar  # dL/d(delta_i * A) = gh_i * abar_i * h_{i-1}, h_{-1} = 0
-        g_da[1:] *= hs[:-1]
-        g_da[0] = 0.0
-        g_delta = np.einsum("tbdn,bdn->tbd", g_da, a) + g_dbx * xt
-        g_a_log = np.einsum("tbdn,tbd->bdn", g_da, delta) * a  # dA/dA_log = A
+        delta, code, b_t, c_t, dbx = delta_, code_, b_t_, c_t_, dbx_
+        g_ct, g_bt = (np.empty((t, nb, n), dtype) for _ in range(2))
+        g_dbx, g_delta = (np.empty((t, nb, d), dtype) for _ in range(2))
+        g_a = np.zeros((nb, d, n), dtype)
+        dcy_, st_, gh_ = (np.empty((chunk, nb, d, n), dtype) for _ in range(3))
+        carry = np.empty((nb, d, n), dtype)  # abar[c1] * gh[c1] of the next chunk
+        # the chunks in reverse, each one's states recomputed from its entry
+        for k, c0 in reversed(list(enumerate(starts))):
+            c1 = min(c0 + CHUNK, t)
+            at = slice(c0, c1)
+            dcy, st, gh = dcy_[: c1 - c0], st_[: c1 - c0], gh_[: c1 - c0]
+            # gh[i] = dL/dh_i; the carry is added before the recompute,
+            # which uses its buffer as scratch
+            np.einsum("tbd,tbn->tbdn", gyt[at], c_t[at], out=gh)
+            if c1 < t:
+                gh[-1] += carry
+            _chunk_states(delta[at], dbx[at], b_t[at], a, h0[k], dcy, st, carry)
+            # only this recurrence runs token by token; each step leaves
+            # g_da's product abar[i+1] * gh[i+1] in dcy[i+1]
+            for g0, g1, a1 in zip(gh[-2::-1], gh[:0:-1], dcy[:0:-1]):
+                g0 += np.multiply(a1, g1, out=a1)
+            np.multiply(dcy[0], gh[0], out=carry)
+            g_da = dcy  # dL/d(delta_i * A) = gh_i * abar_i * h_{i-1}
+            g_da[1:] *= st[:-1]
+            np.multiply(carry, h0[k], out=g_da[0])
+            np.matmul(gyt[at, :, None, :], st, out=g_ct[at, :, None, :])  # (1, d) @ (d, n)
+            np.matmul(dbx[at, :, None, :], gh, out=g_bt[at, :, None, :])
+            np.matmul(gh, b_t[at, :, :, None], out=g_dbx[at, :, :, None])  # (d, n) @ (n, 1)
+            np.einsum("tbdn,bdn->tbd", g_da, a, out=g_delta[at])
+            g_a += np.einsum("tbdn,tbd->bdn", g_da, delta[at])
+        g_delta += g_dbx * xt
+        g_a_log = g_a * a  # dA/dA_log = A
         g_raw = g_delta * -np.expm1(-delta)  # softplus' = 1 - exp(-softplus)
         g_b_dt = g_raw.sum(axis=0)
         # the sums over T: GEMMs batched over b on (b, k, t) views

@@ -88,6 +88,16 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def traced_retained(fn):
+    """Call `fn()` with tracemalloc on; return its result and the bytes
+    still traced once it returned, which its result keeps alive."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
 def peak_maps(fn, h, w):
     """Call `fn()` with tracemalloc on; return its result and the peak
     traced while it ran, in 64-channel float32 h x w maps (the model's

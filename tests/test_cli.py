@@ -85,7 +85,10 @@ class TestSynthDegrade:
             "--out", b)
         assert open(a, "rb").read() == open(b, "rb").read()
 
-    @pytest.mark.parametrize("smoothness", ["nan", "0"])
+    # the two extremes' squared blob widths overflow or vanish (1e160,
+    # 1e300, 1e-200, 1e-300), or their blobs miss every pixel (1e-150)
+    @pytest.mark.parametrize("smoothness", ["nan", "0", "1e160", "1e300", "1e-150",
+                                            "1e-200", "1e-300"])
     def test_synth_bad_smoothness_exit_2(self, tmp_path, capsys, smoothness):
         out = tmp_path / "x.hsc"
         assert run("synth", "--seed", "0", "--bands", "2", "--size", "16",

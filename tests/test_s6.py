@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import rel_err, rng, s6_oracle, traced_peak
+from conftest import rel_err, rng, s6_oracle, traced_peak, traced_retained
 from stripesr import tensor as T
 from stripesr.errors import ContractViolation, NumericError
 from stripesr.s6 import CHUNK, S6Params, _s6_core, delta_rank, ss2d
@@ -112,7 +112,7 @@ class TestNaiveForward:
 class TestCore:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_taped_and_untaped_outputs_bit_identical(self, dtype):
-        # taped calls keep whole-sequence arrays, untaped ones reuse a
+        # taped calls keep whole-sequence projections, untaped ones reuse a
         # chunk buffer; T = CHUNK + 3 ends in a short second chunk
         sets = [make_params(50 + k, 4, 8, dtype=dtype) for k in range(3)]
         for t in (17, CHUNK + 3):
@@ -186,22 +186,37 @@ class TestCore:
         _, peak = traced_peak(lambda: _s6_core(Tensor(x), [p for p, _ in sets]))
         assert peak < 3 * x.nbytes
 
-    def test_taped_backward_memory_and_dtype(self):
-        # the backward keeps the taped states and adds the decays and dL/dh,
-        # two (T, B, d, n) buffers: a further whole-T temporary breaks the
-        # bound, and a matmul that upcasts breaks the float32 check
-        nb, d, n, t = 4, 16, 16, 2 * CHUNK + 1
+    @staticmethod
+    def _taped_call(t, nb=4, d=16, n=16):
+        """A float32 (nb, d, t) leaf, nb distinct heads on its tape and the
+        bytes of the call's (T, B, d, n) states."""
         tape = Tape()
         x = tape.leaf(rng(63).normal(size=(nb, d, t)).astype(np.float32))
-        y = _s6_core(x, [
-            S6Params(**{k: tape.leaf(np.asarray(v, np.float32))
-                        for k, v in make_params(64 + j, d, n)[1].items()})
-            for j in range(nb)])
-        backward = tape.nodes[y.node_id].backward
+        heads = [S6Params(**{k: tape.leaf(np.asarray(v, np.float32))
+                             for k, v in make_params(64 + j, d, n)[1].items()})
+                 for j in range(nb)]
+        return x, heads, t * nb * d * n * 4
+
+    @pytest.mark.parametrize("t", [2 * CHUNK + 1, 8 * CHUNK + 1])
+    def test_taped_call_keeps_no_states(self, t):
+        # the tape keeps x's projections and one state per chunk, not the
+        # (T, B, d, n) states
+        x, heads, states = self._taped_call(t)
+        y, kept = traced_retained(lambda: _s6_core(x, heads))
+        assert y.node_id is not None
+        assert kept < 0.5 * states
+
+    def test_taped_backward_memory_and_dtype(self):
+        # the backward recomputes the states a chunk at a time: one more
+        # (T, B, d, n) buffer breaks the bound, and a matmul that upcasts
+        # breaks the float32 check
+        x, heads, states = self._taped_call(8 * CHUNK + 1)
+        y = _s6_core(x, heads)
+        backward = y.tape.nodes[y.node_id].backward
         gy = rng(65).normal(size=y.shape).astype(np.float32)
         grads, peak = traced_peak(lambda: backward(gy))
-        assert peak < 3 * t * nb * d * n * 4
-        assert len(grads) == 1 + 7 * nb
+        assert peak < 1.25 * states
+        assert len(grads) == 1 + 7 * len(heads)
         assert all(g.dtype == np.float32 for g in grads)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -273,6 +288,31 @@ class TestGradients:
     @pytest.mark.parametrize("key", KEYS)
     def test_parameter_gradients_across_two_chunk_boundaries(self, key):
         assert self._param_err(key, 2 * CHUNK + 1) < 2e-3
+
+    def test_directional_derivatives_across_four_chunk_edges(self):
+        # float64, two distinct heads, T = 4 * CHUNK + 7: along a random
+        # direction, each gradient against a central difference of
+        # sum(y * w); a dropped dL/dh carry at a chunk edge is off by 0.1
+        nb, d, n, t, eps = 2, 4, 3, 4 * CHUNK + 7, 1e-6
+        flat = [rng(111).normal(size=(nb, d, t))]
+        flat += [make_params(110 + j, d, n)[1][k] for j in range(nb) for k in KEYS]
+        w = rng(112).normal(size=(nb, d, t))
+
+        def call(arrays, leaf):
+            heads = [S6Params(*map(leaf, arrays[1 + 7 * j : 8 + 7 * j]))
+                     for j in range(nb)]
+            return _s6_core(leaf(arrays[0].copy()), heads)
+
+        tape = Tape()
+        y = call(flat, tape.leaf)
+        grads = tape.nodes[y.node_id].backward(w)
+        g = np.random.default_rng(113)
+        for i, (p, grad) in enumerate(zip(flat, grads)):
+            v = g.normal(size=p.shape)
+            f = [np.sum(call(flat[:i] + [p + s * v] + flat[i + 1 :],
+                             lambda a: Tensor(a, dtype=np.float64)).data * w)
+                 for s in (eps, -eps)]
+            assert rel_err(np.sum(grad * v), (f[0] - f[1]) / (2 * eps)) < 1e-6, i
 
     def test_every_gradient_of_a_rank_two_batched_call(self):
         # delta rank 2 and distinct nb, n and t: a transposed w_dt_up or
