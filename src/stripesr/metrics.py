@@ -8,10 +8,15 @@ at stride 1; SAM is the mean per-pixel spectral angle in degrees; ERGAS is
 Inputs keep their dtype: the metrics cast to float64 a band at a time, and
 SAM's einsums accumulate in float64, never a whole cube at a time.
 
-SSIM's window means are box sums: for one band, SSIM_WINDOW - 1 in-place adds
-of row-shifted slices, then as many of column-shifted slices, divided by the
-window area. Every temporary is one band-sized array, and no window products
-are materialised.
+SSIM takes four window means per band, of a, b, a^2 + b^2 and ab, since the
+formula reads the variances only as var_a + var_b. Each mean is a box sum of
+contiguous 1-D adds over the flat (H, W) band: SSIM_WINDOW slices offset by
+whole rows give the row sums, then SSIM_WINDOW slices of those offset by 1
+give the window sums, so window (i, j) sits at flat index i*W + j. The last
+SSIM_WINDOW - 1 entries of each row wrap onto the next row, or into a zeroed
+tail at the end, and are dropped when the map is averaged. Every buffer is
+one band in size, allocated once per call and reused across bands, and no
+window products are materialised.
 """
 
 from __future__ import annotations
@@ -59,10 +64,10 @@ class MetricReport:
         return f"{self.psnr},{self.ssim},{self.sam},{self.ergas}"
 
 
-def psnr(x, y, peak: float = 1.0) -> float:
+def _psnr_db(mse: np.ndarray, peak: float) -> float:
+    """Mean over bands of each band's PSNR, capped at PSNR_CAP_DB."""
     if peak <= 0:
         raise ContractViolation("peak must be positive")
-    mse = _band_mse(*check_pair(x, y))
     vals = np.where(
         mse > 0,
         10.0 * np.log10(peak**2 / np.where(mse > 0, mse, 1.0)),
@@ -71,37 +76,71 @@ def psnr(x, y, peak: float = 1.0) -> float:
     return float(np.minimum(vals, PSNR_CAP_DB).mean())
 
 
-def _box_mean(x: np.ndarray) -> np.ndarray:
-    """Mean of every SSIM_WINDOW x SSIM_WINDOW window of the 2-D band `x`."""
-    k = SSIM_WINDOW
-    h, w = x.shape[0] - k + 1, x.shape[1] - k + 1
-    rows = x[:h].copy()
-    for i in range(1, k):
-        rows += x[i : i + h]
-    box = rows[:, :w].copy()
-    for j in range(1, k):
-        box += rows[:, j : j + w]
-    box /= k * k
-    return box
+def psnr(x, y, peak: float = 1.0) -> float:
+    return _psnr_db(_band_mse(*check_pair(x, y)), peak)
+
+
+def _window_means(band: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+    """Write the mean of every SSIM_WINDOW x SSIM_WINDOW window of the
+    contiguous (H, W) `band` into `out`, window (i, j) at flat index i*W + j.
+
+    `out` holds (H - SSIM_WINDOW + 1) * W entries; `rows` is scratch for the
+    row sums, SSIM_WINDOW - 1 entries longer, whose tail stays zero so that
+    the wrapped entries past each row's last window stay finite.
+    """
+    k, n, w = SSIM_WINDOW, out.size, band.shape[1]
+    flat, acc = band.reshape(-1), rows[:n]
+    np.add(flat[:n], flat[w : w + n], out=acc)
+    for i in range(2, k):
+        acc += flat[i * w : i * w + n]
+    np.add(rows[:n], rows[1 : 1 + n], out=out)
+    for j in range(2, k):
+        out += rows[j : j + n]
+    out /= k * k
 
 
 def ssim(x, y, peak: float = 1.0) -> float:
     a, b = check_pair(x, y)
-    if a.shape[1] < SSIM_WINDOW or a.shape[2] < SSIM_WINDOW:
-        raise ContractViolation(f"ssim needs H, W >= {SSIM_WINDOW}")
+    k = SSIM_WINDOW
+    _, hh, ww = a.shape
+    if hh < k or ww < k:
+        raise ContractViolation(f"ssim needs H, W >= {k}")
     c1 = (0.01 * peak) ** 2
     c2 = (0.03 * peak) ** 2
+    n = (hh - k + 1) * ww
+    fa, fb, ab = (np.empty((hh, ww)) for _ in range(3))
+    rows = np.zeros(n + k - 1)
+    mu_a, mu_b, mu_ss, mu_ab, t = (np.empty(n) for _ in range(5))
     total = 0.0
     for ba, bb in zip(a, b):
-        ba, bb = np.asarray(ba, np.float64), np.asarray(bb, np.float64)
-        mu_a = _box_mean(ba)
-        mu_b = _box_mean(bb)
-        var_a = _box_mean(ba * ba) - mu_a * mu_a
-        var_b = _box_mean(bb * bb) - mu_b * mu_b
-        cov = _box_mean(ba * bb) - mu_a * mu_b
-        num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
-        den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
-        total += float((num / den).mean())
+        np.copyto(fa, ba)
+        np.copyto(fb, bb)
+        np.multiply(fa, fb, out=ab)
+        _window_means(fa, rows, mu_a)
+        _window_means(fb, rows, mu_b)
+        _window_means(ab, rows, mu_ab)
+        fa *= fa
+        fb *= fb
+        fa += fb
+        _window_means(fa, rows, mu_ss)
+        # num = (2 mu_a mu_b + c1) * (2 cov + c2), cov = mean(ab) - mu_a mu_b
+        np.multiply(mu_a, mu_b, out=t)
+        mu_ab -= t
+        mu_ab *= 2
+        mu_ab += c2
+        t *= 2
+        t += c1
+        t *= mu_ab
+        # den = (mu_a^2 + mu_b^2 + c1) * (var_a + var_b + c2)
+        mu_a *= mu_a
+        mu_b *= mu_b
+        mu_a += mu_b
+        mu_ss -= mu_a
+        mu_ss += c2
+        mu_a += c1
+        mu_a *= mu_ss
+        t /= mu_a
+        total += float(t.reshape(-1, ww)[:, : ww - k + 1].mean())
     return total / a.shape[0]
 
 
@@ -133,21 +172,26 @@ def sam(x, y) -> float:
     return float(theta[valid].mean())
 
 
-def ergas(x_ref, y_est, scale: int) -> float:
-    a, b = check_pair(x_ref, y_est)
-    mu = np.array([np.asarray(band, np.float64).mean() for band in a])
+def _ergas(ref: np.ndarray, mse: np.ndarray, scale: int) -> float:
+    mu = np.array([np.asarray(band, np.float64).mean() for band in ref])
     zero = np.flatnonzero(mu == 0)
     if zero.size:
         raise NumericError(f"ergas: reference band {int(zero[0])} has zero mean")
-    mse = _band_mse(a, b)
     return float(100.0 / scale * np.sqrt((mse / mu**2).mean()))
 
 
+def ergas(x_ref, y_est, scale: int) -> float:
+    a, b = check_pair(x_ref, y_est)
+    return _ergas(a, _band_mse(a, b), scale)
+
+
 def compute_report(pred, gt, scale: int, peak: float = 1.0) -> MetricReport:
+    # (x - y)^2 = (y - x)^2 bit for bit, so PSNR and ERGAS share one MSE
     a, b = check_pair(pred, gt)
+    mse = _band_mse(a, b)
     return MetricReport(
-        psnr=psnr(a, b, peak),
+        psnr=_psnr_db(mse, peak),
         ssim=ssim(a, b, peak),
         sam=sam(a, b),
-        ergas=ergas(b, a, scale),
+        ergas=_ergas(b, mse, scale),
     )

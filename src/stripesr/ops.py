@@ -144,7 +144,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, dilation: int = 1) -> Tensor:
         # only x is kept, not its padded copy
         xp, fold = reflect_pad(x.data, pt, pb, pl, pr)
         xf = xp.reshape(g, c_in_g, hp * wp)
-        gy_ext = np.pad(gy, ((0, 0), (0, 0), (0, wp - wd)))
+        gy_ext = np.zeros((c_out, h, wp), gy.dtype)
+        gy_ext[..., :wd] = gy
         gy_ext = gy_ext.reshape(g, c_out // g, h * wp)[..., :m]
         gw = np.empty(wg.shape, dtype=np.result_type(gy, xf))
         gxf = np.zeros(xf.shape, dtype=np.result_type(gy, wg))
