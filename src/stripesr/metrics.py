@@ -64,10 +64,14 @@ class MetricReport:
         return f"{self.psnr},{self.ssim},{self.sam},{self.ergas}"
 
 
+def _check_peak(peak: float) -> None:
+    if not 0 < peak < np.inf:  # NaN fails both comparisons
+        raise ContractViolation(f"peak must be positive and finite, got {peak}")
+
+
 def _psnr_db(mse: np.ndarray, peak: float) -> float:
     """Mean over bands of each band's PSNR, capped at PSNR_CAP_DB."""
-    if peak <= 0:
-        raise ContractViolation("peak must be positive")
+    _check_peak(peak)
     vals = np.where(
         mse > 0,
         10.0 * np.log10(peak**2 / np.where(mse > 0, mse, 1.0)),
@@ -101,6 +105,7 @@ def _window_means(band: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
 
 def ssim(x, y, peak: float = 1.0) -> float:
     a, b = check_pair(x, y)
+    _check_peak(peak)
     k = SSIM_WINDOW
     _, hh, ww = a.shape
     if hh < k or ww < k:

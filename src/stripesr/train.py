@@ -30,7 +30,6 @@ class TrainConfig:
     gt_patch: int | None = None  # derived from scale when None
     seed: int = 0
     max_steps: int | None = None
-    loss_target: float | None = None  # absolute early-stop threshold
 
     def __post_init__(self):
         # reject bad settings before any patch is sampled or step is run
@@ -41,8 +40,6 @@ class TrainConfig:
             ("seed must be >= 0", self.seed >= 0),
             ("max_steps must be None or >= 1",
              self.max_steps is None or self.max_steps >= 1),
-            ("loss_target must be None or finite",
-             self.loss_target is None or math.isfinite(self.loss_target)),
         )
         for msg, ok in checks:
             if not ok:
@@ -84,10 +81,11 @@ def train(dataset, cfg: TrainConfig, mcfg: ModelConfig,
     """Run epochs x batches of forward -> L1 -> backward -> AdamW.
 
     `dataset` is a list of (lr_patch, gt_patch) arrays. Returns the final
-    weights and the per-step loss curve. Stops early when `loss_target` or
-    `max_steps` is hit. `on_step(step, loss, weights)` is called after each
-    update when given. A non-finite forward, loss or updated weight raises
-    NumericError naming the step, before `on_step` sees that step.
+    weights and the per-step loss curve. `on_step(step, loss, weights)` is
+    called after each update when given; training stops after a step whose
+    `on_step` returns a true value, or at `max_steps`. A non-finite forward,
+    loss or updated weight raises NumericError naming the step, before
+    `on_step` sees that step.
     """
     if not dataset:
         raise ContractViolation("train: empty dataset")
@@ -123,9 +121,7 @@ def train(dataset, cfg: TrainConfig, mcfg: ModelConfig,
                 raise NumericError(f"{exc} (at step {step})") from exc
             curve.append(loss_val)
             step += 1
-            if on_step is not None:
-                on_step(step, loss_val, weights)
-            if cfg.loss_target is not None and loss_val <= cfg.loss_target:
+            if on_step is not None and on_step(step, loss_val, weights):
                 return weights, curve
             if cfg.max_steps is not None and step >= cfg.max_steps:
                 return weights, curve

@@ -20,6 +20,17 @@ from stripesr.metrics import (
 )
 
 
+@pytest.mark.parametrize("peak", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("metric", [psnr, ssim, lambda a, b, peak: compute_report(a, b, 2, peak)],
+                         ids=["psnr", "ssim", "report"])
+def test_peak_outside_zero_to_inf_rejected(metric, peak):
+    # unchecked, ssim scored -1 as 1 and NaN'd at 0 and inf, psnr gave NaN
+    # at nan and the 99 dB cap at inf
+    a = rng(3).random((2, 8, 8))
+    with pytest.raises(ContractViolation, match="peak must be positive and finite"):
+        metric(a, a * 0.5, peak=peak)
+
+
 class TestPsnr:
     def test_identical_inputs_hit_cap(self):
         x = rng(0).random((3, 8, 8))
@@ -48,10 +59,6 @@ class TestPsnr:
         b = a + 1.0
         # MSE = 1, peak = 10 -> 10 log10(100) = 20 dB
         assert psnr(a, b, peak=10.0) == pytest.approx(20.0, abs=1e-9)
-
-    def test_nonpositive_peak_rejected(self):
-        with pytest.raises(ContractViolation):
-            psnr(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)), peak=0.0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ContractViolation):

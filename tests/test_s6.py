@@ -112,10 +112,11 @@ class TestNaiveForward:
 class TestCore:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_taped_and_untaped_outputs_bit_identical(self, dtype):
-        # taped calls keep whole-sequence projections, untaped ones reuse a
-        # chunk buffer; T = CHUNK + 3 ends in a short second chunk
+        # both walk the same one-chunk buffers, and only the untaped call
+        # writes y over x; T = CHUNK + 3 ends in a short second chunk, and
+        # 3 * CHUNK + 5 carries h across three chunk edges
         sets = [make_params(50 + k, 4, 8, dtype=dtype) for k in range(3)]
-        for t in (17, CHUNK + 3):
+        for t in (17, CHUNK + 3, 3 * CHUNK + 5):
             x = rng(51).normal(size=(3, 4, t)).astype(dtype)
             plain = _s6_core(Tensor(x.copy()), [p for p, _ in sets])
             tape = Tape()
@@ -199,23 +200,25 @@ class TestCore:
 
     @pytest.mark.parametrize("t", [2 * CHUNK + 1, 8 * CHUNK + 1])
     def test_taped_call_keeps_no_states(self, t):
-        # the tape keeps x's projections and one state per chunk, not the
-        # (T, B, d, n) states
+        # the call leaves y, 1/n = 0.0625 of the (T, B, d, n) states' bytes,
+        # and one (B, d, n) entry state per chunk; keeping x's whole-T
+        # projections as well breaks the bound
         x, heads, states = self._taped_call(t)
         y, kept = traced_retained(lambda: _s6_core(x, heads))
         assert y.node_id is not None
-        assert kept < 0.5 * states
+        assert kept < 0.1 * states
 
     def test_taped_backward_memory_and_dtype(self):
-        # the backward recomputes the states a chunk at a time: one more
-        # (T, B, d, n) buffer breaks the bound, and a matmul that upcasts
-        # breaks the float32 check
+        # the backward recomputes each chunk's projections and states into
+        # one-chunk buffers and writes gx a chunk at a time: a (T, B, d, n)
+        # buffer, or whole-T projections and their gradients, break the
+        # bound, and a matmul that upcasts breaks the float32 check
         x, heads, states = self._taped_call(8 * CHUNK + 1)
         y = _s6_core(x, heads)
         backward = y.tape.nodes[y.node_id].backward
         gy = rng(65).normal(size=y.shape).astype(np.float32)
         grads, peak = traced_peak(lambda: backward(gy))
-        assert peak < 1.25 * states
+        assert peak < 0.75 * states
         assert len(grads) == 1 + 7 * len(heads)
         assert all(g.dtype == np.float32 for g in grads)
 

@@ -125,10 +125,13 @@ class TestTrainLoop:
         _, curve = train(micro_dataset(), cfg, MICRO)
         assert len(curve) == 4
 
-    def test_loss_target_stops_early(self):
-        cfg = TrainConfig(batch=1, epochs=100, gt_patch=16, loss_target=1e9)
-        _, curve = train(micro_dataset(), cfg, MICRO)
-        assert len(curve) == 1  # any finite loss satisfies a huge target
+    def test_on_step_true_stops_early(self):
+        # training stops after the first step whose on_step returns true
+        cfg = TrainConfig(batch=1, epochs=100, gt_patch=16)
+        calls = []
+        _, curve = train(micro_dataset(), cfg, MICRO,
+                         on_step=lambda step, loss, w: calls.append(step) or step == 3)
+        assert len(curve) == 3 and calls == [1, 2, 3]
 
     def test_deterministic_loss_curves(self):
         cfg = TrainConfig(batch=1, epochs=5, gt_patch=16, seed=3)
@@ -144,7 +147,6 @@ class TestTrainLoop:
     @pytest.mark.parametrize("field, value", [
         ("lr", float("nan")), ("lr", float("inf")), ("lr", 0.0),
         ("lr", -1e-4), ("batch", 0), ("epochs", -1), ("seed", -1), ("max_steps", 0),
-        ("loss_target", float("nan")), ("loss_target", float("-inf")),
     ])
     def test_bad_setting_rejected_on_construction(self, field, value):
         with pytest.raises(ContractViolation, match=f"TrainConfig: {field} must"):
