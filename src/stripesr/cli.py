@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 import numpy as np
@@ -132,6 +133,9 @@ def _cmd_degrade(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    for out in filter(None, (args.ckpt, args.loss_csv)):  # fail before training
+        if not os.path.isdir(os.path.dirname(os.path.realpath(out))):
+            raise FileNotFoundError(f"{out}: no such directory")
     gt = hsd.read_hsc(args.gt)
     mcfg = mdl.ModelConfig(
         bands=gt.bands, scale=args.scale, hidden=args.hidden,

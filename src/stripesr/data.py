@@ -50,14 +50,17 @@ def atomic_open(path: str, mode: str = "wb"):
     real = os.path.realpath(path)
     tmp = f"{real}.{os.getpid()}.tmp"
     try:
-        with open(tmp, mode) as fh:
+        fh = open(tmp, mode)
+    except OSError as exc:  # name the caller's path, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
             if st is not None:
                 os.chmod(tmp, stat.S_IMODE(st.st_mode))
             yield fh
         os.replace(tmp, real)
     except BaseException:
-        with contextlib.suppress(FileNotFoundError):  # open itself failed
-            os.remove(tmp)
+        os.remove(tmp)
         raise
 
 

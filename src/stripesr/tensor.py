@@ -225,12 +225,6 @@ def silu(a: Tensor) -> Tensor:
     return _record_unary(a, out, lambda g: g * (s + out * (1.0 - s)))
 
 
-def reduce_mean(a: Tensor) -> Tensor:
-    """The mean of every entry of `a`, as a 0-d Tensor."""
-    return _record_unary(
-        a, a.data.mean(), lambda g: np.full(a.shape, g / a.size, dtype=a.dtype))
-
-
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = list(tensors)
     out = np.concatenate([t.data for t in tensors], axis=axis)

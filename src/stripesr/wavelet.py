@@ -5,9 +5,10 @@ Per non-overlapping 2x2 block (a b / c d):
     LL = (a+b+c+d)/2   LH = (a-b+c-d)/2
     HL = (a+b-c-d)/2   HH = (a-b-c+d)/2
 
-The 4x4 mixing matrix is symmetric and involutory, so analysis, synthesis
-and both backwards are one mix, written straight into the DWT's low and
-high arrays or, through a block-sized scratch, the IWT output's phase views.
+The 4x4 mixing matrix is symmetric and involutory, so analysis and
+synthesis are one mix, written straight into the DWT's low and high arrays
+or the IWT output's phase views. The IWT's backward is the analysis, the DWT
+high half's is the synthesis; the low half's spreads g/2 over its 2x2 block.
 High bands are stacked along the channel axis as [LH | HL | HH]. The DWT
 records low and high as two ops on its input; the tape sums their gradients.
 """
@@ -32,7 +33,6 @@ class WaveletPair:
 # how b, c and d enter LL, LH, HL and HH; a always enters with +
 _TERMS = ((np.add, np.add, np.add), (np.subtract, np.add, np.subtract),
           (np.add, np.subtract, np.subtract), (np.subtract, np.subtract, np.add))
-MIX_BLOCK_BYTES = 1 << 20  # bytes of one band's channels mixed per step
 
 
 def _phases(x):
@@ -42,22 +42,13 @@ def _phases(x):
 
 def _mix(src, dst) -> None:
     """Write ((a +- b) +- c) +- d, times 1/2, for the four (C, h, w) arrays
-    src = (a, b, c, d) into the four arrays `dst`, MIX_BLOCK_BYTES of
-    channels at a time. A strided destination is filled from a contiguous
-    scratch, which is faster than mixing through its strides."""
-    step = max(1, MIX_BLOCK_BYTES // max(dst[0][:1].nbytes, 1))
-    scratch = np.empty((step, *dst[0].shape[1:]), dst[0].dtype)
-    for c0 in range(0, len(src[0]), step):
-        a, b, c, d = (s[c0 : c0 + step] for s in src)
-        for out, (op_b, op_c, op_d) in zip(dst, _TERMS):
-            out = out[c0 : c0 + step]
-            buf = out if out.flags.c_contiguous else scratch[: len(out)]
-            op_b(a, b, out=buf)
-            op_c(buf, c, out=buf)
-            op_d(buf, d, out=buf)
-            buf *= 0.5
-            if buf is not out:
-                out[...] = buf
+    src = (a, b, c, d) straight into the four arrays `dst`."""
+    a, b, c, d = src
+    for out, (op_b, op_c, op_d) in zip(dst, _TERMS):
+        op_b(a, b, out=out)
+        op_c(out, c, out=out)
+        op_d(out, d, out=out)
+        out *= 0.5
 
 
 def _analyse(x: np.ndarray):

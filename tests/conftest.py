@@ -12,12 +12,19 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from stripesr import blocks
+from stripesr import blocks, tensor as T
 from stripesr.model import ModelConfig, _init_array
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def reduce_mean(a):
+    """The mean of every entry of the Tensor `a`, as a 0-d Tensor: the
+    scalar loss of the gradient tests."""
+    return T.record(a.data.mean(), (a,), lambda g: (
+        np.full(a.shape, g / a.size, dtype=a.dtype),))
 
 
 def rel_err(a, b, floor=1e-8):

@@ -13,7 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import init_param_dict, rel_err, rng, s6_oracle, whole_block
+from conftest import (init_param_dict, reduce_mean, rel_err, rng, s6_oracle,
+                      whole_block)
 from stripesr import cli
 from stripesr import tensor as T
 from stripesr.blocks import (
@@ -236,69 +237,69 @@ def test_criterion_04_gradient_checks(capsys):
         # elementwise / shape / reduction ops
         x = g.normal(size=(2, 5))
         for op in (T.sigmoid, T.silu):
-            chk(lambda t, op=op: T.reduce_mean(op(t)), x)
+            chk(lambda t, op=op: reduce_mean(op(t)), x)
         other = _t64(g.normal(size=(2, 5)) + 2.0)
         for op in (T.add, T.mul):
-            chk(lambda t, op=op: T.reduce_mean(T.sigmoid(op(t, other))), x)
+            chk(lambda t, op=op: reduce_mean(T.sigmoid(op(t, other))), x)
         row = _t64(g.normal(size=(1, 5)))
-        chk(lambda t: T.reduce_mean(T.sigmoid(
+        chk(lambda t: reduce_mean(T.sigmoid(
             T.concat([t, row], axis=0))), x)
-        chk(lambda t: T.reduce_mean(T.sigmoid(T.narrow(t, 1, 1, 3))), x)
+        chk(lambda t: reduce_mean(T.sigmoid(T.narrow(t, 1, 1, 3))), x)
 
         # structured ops
         img = g.normal(size=(4, 5, 5)) * 0.5
         w4 = _t64(g.normal(size=(4, 2, 3, 3)) * 0.3)
         b4 = _t64(g.normal(size=4))
-        chk(lambda t: T.reduce_mean(T.sigmoid(conv2d(t, w4, b4))), img)
-        chk(lambda t: T.reduce_mean(T.sigmoid(
+        chk(lambda t: reduce_mean(T.sigmoid(conv2d(t, w4, b4))), img)
+        chk(lambda t: reduce_mean(T.sigmoid(
             conv2d(_t64(img), t, b4))), w4.data)
         gam, bet = _t64(g.normal(size=4) + 1.0), _t64(g.normal(size=4))
-        chk(lambda t: T.reduce_mean(T.sigmoid(layernorm(t, gam, bet))), img,
+        chk(lambda t: reduce_mean(T.sigmoid(layernorm(t, gam, bet))), img,
             eps=1e-4)
         wc1 = _t64(g.normal(size=(2, 4)))
         bc1 = _t64(g.normal(size=2))
         wc2 = _t64(g.normal(size=(4, 2)))
         bc2 = _t64(g.normal(size=4))
-        chk(lambda t: T.reduce_mean(T.sigmoid(
+        chk(lambda t: reduce_mean(T.sigmoid(
             channel_attention(t, wc1, wc2, bc1, bc2))), img)
         tgt = _t64(g.normal(size=(4, 5, 5)))
         chk(lambda t: l1_loss(t, tgt), img + 5.0)  # stay off |.| kinks
 
         # wavelet, both directions
         even = g.normal(size=(3, 4, 4))
-        chk(lambda t: T.reduce_mean(T.sigmoid(dwt_haar(t).low)), even)
-        chk(lambda t: T.reduce_mean(T.sigmoid(dwt_haar(t).high)), even)
+        chk(lambda t: reduce_mean(T.sigmoid(dwt_haar(t).low)), even)
+        chk(lambda t: reduce_mean(T.sigmoid(dwt_haar(t).high)), even)
         hi = _t64(g.normal(size=(9, 2, 2)))
-        chk(lambda t: T.reduce_mean(T.sigmoid(iwt_haar(
+        chk(lambda t: reduce_mean(T.sigmoid(iwt_haar(
             WaveletPair(low=t, high=hi)))), g.normal(size=(3, 2, 2)))
 
         # scan plumbing and selective scan
         order = make_order("stripe", 3, 4, 2)
-        chk(lambda t: T.reduce_mean(T.sigmoid(gather_tokens(t, [order]))),
+        chk(lambda t: reduce_mean(T.sigmoid(gather_tokens(t, [order]))),
             g.normal(size=(2, 3, 4)))
-        chk(lambda t: T.reduce_mean(T.sigmoid(scatter_tokens(t, [order]))),
+        chk(lambda t: reduce_mean(T.sigmoid(scatter_tokens(t, [order]))),
             g.normal(size=(1, 2, 12)))
         p6, raw6 = _random_s6_params(11, 2, 2)
         seq = g.normal(size=(1, 2, 6)) * 0.5
-        chk(lambda t: T.reduce_mean(T.sigmoid(_s6_core(t, [p6]))), seq,
+        chk(lambda t: reduce_mean(T.sigmoid(_s6_core(t, [p6]))), seq,
             eps=1e-4)
         for name in raw6:
             def f(t, name=name):
                 kw = {k: (t if k == name else _t64(v))
                       for k, v in raw6.items()}
-                return T.reduce_mean(T.sigmoid(
+                return reduce_mean(T.sigmoid(
                     _s6_core(_t64(seq.copy()), [S6Params(**kw)])))
             chk(f, raw6[name], eps=1e-4)
         quad = [ _random_s6_params(20 + i, 2, 2)[0] for i in range(4)]
         orders = [make_order("stripe", 3, 4, 2, d) for d in range(4)]
-        chk(lambda t: T.reduce_mean(T.sigmoid(ss2d(t, quad, orders))),
+        chk(lambda t: reduce_mean(T.sigmoid(ss2d(t, quad, orders))),
             g.normal(size=(2, 3, 4)) * 0.5, eps=1e-4)
 
         # gate incl. d/d(alpha)
         g1, g2, g3 = (g.normal(size=(2, 3, 3)) for _ in range(3))
-        chk(lambda t: T.reduce_mean(T.sigmoid(
+        chk(lambda t: reduce_mean(T.sigmoid(
             soft_gate(t, _t64(g2), _t64(g3), _t64([0.3])))), g1)
-        chk(lambda t: T.reduce_mean(T.sigmoid(
+        chk(lambda t: reduce_mean(T.sigmoid(
             soft_gate(_t64(g1), _t64(g2), _t64(g3), t))), np.array([0.3]))
 
         # composite blocks, input gradients
@@ -312,7 +313,7 @@ def test_criterion_04_gradient_checks(capsys):
 
             def f(t, raw=raw, fwd=fwd):
                 params = {k: _t64(v) for k, v in raw.items()}
-                return T.reduce_mean(T.sigmoid(
+                return reduce_mean(T.sigmoid(
                     fwd(t, ParamView(params), orders4)))
             chk(f, xin, eps=1e-4)
         # HFSE learned gate scalar
@@ -322,7 +323,7 @@ def test_criterion_04_gradient_checks(capsys):
         def fh(t):
             params = {k: (t if k == "alpha" else _t64(v))
                       for k, v in raw_h.items()}
-            return T.reduce_mean(T.sigmoid(
+            return reduce_mean(T.sigmoid(
                 hfse(_t64(xh), ParamView(params), orders4)))
         chk(fh, raw_h["alpha"].copy(), eps=1e-4)
 
@@ -338,7 +339,7 @@ def test_criterion_04_gradient_checks(capsys):
             def fm(t, key=key):
                 params = {k: (t if k == key else Tensor(v, dtype=np.float64))
                           for k, v in raw_m.items()}
-                return T.reduce_mean(T.sigmoid(forward(xm, params, cfg)))
+                return reduce_mean(T.sigmoid(forward(xm, params, cfg)))
             chk(fm, raw_m[key].copy(), eps=1e-4)
         assert time.perf_counter() - t0 < 120.0
 

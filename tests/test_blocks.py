@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import conv2d_oracle, init_param_dict, rel_err, rng, whole_block
+from conftest import (conv2d_oracle, init_param_dict, reduce_mean, rel_err,
+                      rng, whole_block)
 from stripesr import tensor as T
 from stripesr.blocks import (
     CHANNEL_SCALING,
@@ -115,7 +116,7 @@ class TestGateAlgebra:
         x1, x21, x22 = (g.normal(size=(2, 3, 3)) for _ in range(3))
 
         def f(t):
-            return T.reduce_mean(T.sigmoid(
+            return reduce_mean(T.sigmoid(
                 soft_gate(_t64(x1), _t64(x21), _t64(x22), t)))
 
         tape = T.Tape()
@@ -132,7 +133,7 @@ class TestGateAlgebra:
 
         def f(t):
             args = {k: t if k == name else _t64(v) for k, v in raw.items()}
-            return T.reduce_mean(T.sigmoid(soft_gate(**args)))
+            return reduce_mean(T.sigmoid(soft_gate(**args)))
 
         assert T.grad_check(f, raw[name]) < 1e-6
 
@@ -173,7 +174,7 @@ class TestVssm:
 
         def f(t):
             params = {k: _t64(v) for k, v in raw.items()}
-            return T.reduce_mean(T.sigmoid(
+            return reduce_mean(T.sigmoid(
                 vssm_forward(t, ParamView(params), _orders(t))))
 
         assert T.grad_check(f, x) < 2e-3
@@ -213,7 +214,7 @@ class TestLfse:
 
         def f(t):
             params = {k: _t64(v) for k, v in raw.items()}
-            return T.reduce_mean(T.sigmoid(
+            return reduce_mean(T.sigmoid(
                 lfse(t, ParamView(params), _orders(t))))
 
         assert T.grad_check(f, x) < 2e-3
@@ -237,7 +238,7 @@ class TestHfse:
         def f(t):
             params = {k: (t if k == "alpha" else _t64(v))
                       for k, v in raw.items()}
-            return T.reduce_mean(T.sigmoid(
+            return reduce_mean(T.sigmoid(
                 hfse(_t64(x), ParamView(params), _orders(x))))
 
         tape = T.Tape()
@@ -278,7 +279,7 @@ class TestHfse:
 
         def f(t):
             params = {k: _t64(v) for k, v in raw.items()}
-            return T.reduce_mean(T.sigmoid(
+            return reduce_mean(T.sigmoid(
                 hfse(t, ParamView(params), _orders(t))))
 
         assert T.grad_check(f, x) < 2e-3
@@ -309,7 +310,7 @@ class TestHlfd:
 
         def f(t):
             params = {k: _t64(v) for k, v in raw.items()}
-            return T.reduce_mean(T.sigmoid(
+            return reduce_mean(T.sigmoid(
                 hlfd(t, ParamView(params), _orders(t))))
 
         assert T.grad_check(f, x) < 2e-3

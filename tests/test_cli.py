@@ -339,6 +339,41 @@ def write_with_nan(src, dst):
     write_hsc(cube, dst)
 
 
+class TestMissingOutputDirectory:
+    # a write into a missing directory exits 2 and names the path given,
+    # not the temporary file beside it
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--bands", "2", "--size", "8", "--out"],
+        ["eval", "--pred", "GT", "--gt", "GT", "--scale", "2", "--csv"],
+        ["eval", "--pred", "GT", "--gt", "GT", "--scale", "2",
+         "--csv", "c.csv", "--sam-map"],
+        ["scan-viz", "--height", "2", "--width", "2", "--out"],
+    ])
+    def test_writer_names_the_given_path(self, gt_path, tmp_path, capsys,
+                                         monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        argv = [gt_path if arg == "GT" else arg for arg in argv]
+        assert run(*argv, "nodir/out") == 2
+        err = capsys.readouterr().err
+        assert "'nodir/out" in err and ".tmp" not in err
+
+    @pytest.mark.parametrize("flag", ["--ckpt", "--loss-csv"])
+    def test_train_checks_before_training(self, gt_path, tmp_path, capsys,
+                                          monkeypatch, flag):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(cli, "run_train", no_training)
+        outs = {"--ckpt": str(tmp_path / "m.hsrw"),
+                "--loss-csv": str(tmp_path / "loss.csv")}
+        outs[flag] = given = str(tmp_path / "nodir" / "out")
+        assert run("train", "--gt", gt_path, "--scale", "2", "--steps", "20",
+                   *(arg for item in outs.items() for arg in item)) == 2
+        err = capsys.readouterr().err
+        assert given in err and ".tmp" not in err
+
+
 class TestNonFiniteInput:
     def test_eval_nan_pred_exit_2(self, gt_path, tmp_path, capsys):
         pred = str(tmp_path / "pred.hsc")

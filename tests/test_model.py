@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from conftest import (ABSURD_SHAPES, KeyRecorder, absurd_shape_checkpoint,
-                      checkpoint_bytes, peak_maps, rng, traced_peak)
+                      checkpoint_bytes, peak_maps, reduce_mean, rng,
+                      traced_peak)
 from stripesr import blocks, ops
 from stripesr import tensor as T
 from stripesr.errors import ContractViolation, FormatError, NumericError
@@ -214,7 +215,7 @@ class TestForward:
         def f(t):
             params = {k: (t if k == key else Tensor(v, dtype=np.float64))
                       for k, v in raw.items()}
-            return T.reduce_mean(T.sigmoid(forward(x, params, cfg)))
+            return reduce_mean(T.sigmoid(forward(x, params, cfg)))
 
         assert T.grad_check(f, raw[key].copy(), eps=1e-4) < 2e-3
 
@@ -231,7 +232,7 @@ class TestForward:
         def f(t):
             params = {k: (t if k == key else Tensor(v, dtype=np.float64))
                       for k, v in raw.items()}
-            return T.reduce_mean(T.sigmoid(forward(x, params, cfg)))
+            return reduce_mean(T.sigmoid(forward(x, params, cfg)))
 
         assert T.grad_check(f, raw[key].copy(), eps=1e-4) < 2e-3
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import conv2d_oracle, keys_weights_oracle, peak_maps, rel_err, rng
+from conftest import (conv2d_oracle, keys_weights_oracle, peak_maps,
+                      reduce_mean, rel_err, rng)
 from stripesr import ops, tensor as T
 from stripesr.errors import ContractViolation
 from stripesr.ops import OptState
@@ -93,7 +94,7 @@ class TestConv2d:
         want = conv2d_oracle(x, w, b, kernel, dilation=dilation)
         assert rel_err(got.data, want) < 1e-6
         assert T.grad_check(
-            lambda t: T.reduce_mean(T.sigmoid(ops.conv2d(t, _t64(w), None, dilation))),
+            lambda t: reduce_mean(T.sigmoid(ops.conv2d(t, _t64(w), None, dilation))),
             x) < 1e-6
 
     @pytest.mark.parametrize("rows", [1, 3])
@@ -150,7 +151,7 @@ class TestConv2d:
         b = g.normal(size=3)
 
         def loss_of(xa, wa, ba):
-            return T.reduce_mean(T.sigmoid(ops.conv2d(xa, wa, ba)))
+            return reduce_mean(T.sigmoid(ops.conv2d(xa, wa, ba)))
 
         assert T.grad_check(
             lambda t: loss_of(t, _t64(w), _t64(b)), x) < 1e-6
@@ -164,10 +165,10 @@ class TestConv2d:
         x = g.normal(size=(3, 6, 6))
         w = g.normal(size=(3, 1, 3, 3))
         assert T.grad_check(
-            lambda t: T.reduce_mean(T.sigmoid(ops.conv2d(t, _t64(w), None, 2))),
+            lambda t: reduce_mean(T.sigmoid(ops.conv2d(t, _t64(w), None, 2))),
             x) < 1e-6
         assert T.grad_check(
-            lambda t: T.reduce_mean(T.sigmoid(ops.conv2d(_t64(x), t, None, 2))),
+            lambda t: reduce_mean(T.sigmoid(ops.conv2d(_t64(x), t, None, 2))),
             w) < 1e-6
 
     @pytest.mark.parametrize(
@@ -183,7 +184,7 @@ class TestConv2d:
                                      hw=(6, 7))
 
         def loss_of(xa, wa):
-            return T.reduce_mean(T.sigmoid(ops.conv2d(xa, wa, _t64(b), dilation)))
+            return reduce_mean(T.sigmoid(ops.conv2d(xa, wa, _t64(b), dilation)))
 
         assert T.grad_check(lambda t: loss_of(t, _t64(w)), x) < 1e-6
         assert T.grad_check(lambda t: loss_of(_t64(x), t), w) < 1e-6
@@ -257,13 +258,13 @@ class TestLayerNorm:
         gamma = g.normal(size=6)
         beta = g.normal(size=6)
         assert T.grad_check(
-            lambda t: T.reduce_mean(T.sigmoid(
+            lambda t: reduce_mean(T.sigmoid(
                 ops.layernorm(t, _t64(gamma), _t64(beta)))), x, eps=1e-4) < 1e-5
         assert T.grad_check(
-            lambda t: T.reduce_mean(T.sigmoid(
+            lambda t: reduce_mean(T.sigmoid(
                 ops.layernorm(_t64(x), t, _t64(beta)))), gamma) < 1e-6
         assert T.grad_check(
-            lambda t: T.reduce_mean(T.sigmoid(
+            lambda t: reduce_mean(T.sigmoid(
                 ops.layernorm(_t64(x), _t64(gamma), t))), beta) < 1e-6
 
 
@@ -302,10 +303,10 @@ class TestChannelAttention:
         w2 = g.normal(size=(4, 2))
         b1, b2 = _t64(np.zeros(2)), _t64(np.zeros(4))
         assert T.grad_check(
-            lambda t: T.reduce_mean(T.sigmoid(
+            lambda t: reduce_mean(T.sigmoid(
                 ops.channel_attention(t, _t64(w1), _t64(w2), b1, b2))), x) < 1e-6
         assert T.grad_check(
-            lambda t: T.reduce_mean(T.sigmoid(
+            lambda t: reduce_mean(T.sigmoid(
                 ops.channel_attention(_t64(x), t, _t64(w2), b1, b2))), w1) < 1e-6
 
     @pytest.mark.parametrize("name", ["x", "w1", "w2", "b1", "b2"])
@@ -320,7 +321,7 @@ class TestChannelAttention:
 
         def f(t):
             args = {k: t if k == name else _t64(v) for k, v in raw.items()}
-            return T.reduce_mean(T.sigmoid(ops.channel_attention(**args)))
+            return reduce_mean(T.sigmoid(ops.channel_attention(**args)))
 
         assert T.grad_check(f, raw[name]) < 1e-6
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import rel_err, rng, s6_oracle, traced_peak, traced_retained
+from conftest import (reduce_mean, rel_err, rng, s6_oracle, traced_peak,
+                      traced_retained)
 from stripesr import tensor as T
 from stripesr.errors import ContractViolation, NumericError
 from stripesr.s6 import CHUNK, S6Params, _s6_core, delta_rank, ss2d
@@ -154,7 +155,7 @@ class TestCore:
                      for raw in raws]
             ys = [_s6_core(tape.leaf(xs), heads * (2 // calls))
                   for xs in np.split(x, calls)]
-            tape.backward(T.reduce_mean(T.mul(T.concat(ys, axis=0), w)))
+            tape.backward(reduce_mean(T.mul(T.concat(ys, axis=0), w)))
             return [tape.grad(f) for head in heads for f in head]
 
         for one, two in zip(head_grads(1), head_grads(2)):
@@ -248,7 +249,7 @@ class TestGradients:
         p, _ = make_params(15, 2, 3)
         x = rng(16).normal(size=(1, 2, t))
         return T.grad_check(
-            lambda s: T.reduce_mean(T.sigmoid(_s6_core(s, [p]))), x)
+            lambda s: reduce_mean(T.sigmoid(_s6_core(s, [p]))), x)
 
     @staticmethod
     def _param_err(key, t):
@@ -258,7 +259,7 @@ class TestGradients:
         def f(s):
             kw = {k: (s if k == key else Tensor(v, dtype=np.float64))
                   for k, v in raw.items()}
-            return T.reduce_mean(T.sigmoid(
+            return reduce_mean(T.sigmoid(
                 _s6_core(Tensor(x.copy(), dtype=np.float64), [S6Params(**kw)])))
 
         return T.grad_check(f, raw[key].copy())
@@ -327,7 +328,7 @@ class TestGradients:
         x = rng(81).normal(size=(nb, d, t))
 
         def loss(seq, k=None, key=None, s=None):
-            return T.reduce_mean(T.sigmoid(_s6_core(seq, [
+            return reduce_mean(T.sigmoid(_s6_core(seq, [
                 S6Params(**{name: (s if (j, name) == (k, key)
                                    else Tensor(v, dtype=np.float64))
                             for name, v in raw.items()})
@@ -350,7 +351,7 @@ class TestGradients:
         for k in range(3):
             def f(s):
                 seq = Tensor(x.copy(), dtype=np.float64)
-                return T.reduce_mean(T.sigmoid(_s6_core(seq, [
+                return reduce_mean(T.sigmoid(_s6_core(seq, [
                     S6Params(**{name: (s if (j, name) == (k, key)
                                        else Tensor(v, dtype=np.float64))
                                 for name, v in raw.items()})
@@ -406,7 +407,7 @@ class TestSs2d:
                             for k, v in raw.items()})
                 for raw in raws
             ]
-            return T.reduce_mean(T.sigmoid(ss2d(t, params, orders)))
+            return reduce_mean(T.sigmoid(ss2d(t, params, orders)))
 
         assert T.grad_check(f, x) < 2e-3
 
@@ -421,7 +422,7 @@ class TestSs2d:
         def f(t):
             kw = {k: (t if k == "a_log" else Tensor(v, dtype=np.float64))
                   for k, v in raw.items()}
-            return T.reduce_mean(T.sigmoid(ss2d(x, [S6Params(**kw)] * 4, orders)))
+            return reduce_mean(T.sigmoid(ss2d(x, [S6Params(**kw)] * 4, orders)))
 
         assert T.grad_check(f, raw["a_log"].copy()) < 2e-3
 

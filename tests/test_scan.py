@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rng
+from conftest import reduce_mean, rng
 from stripesr import tensor as T
 from stripesr.errors import ContractViolation
 from stripesr.scan import (
@@ -163,7 +163,7 @@ class TestGatherScatter:
         o = make_order("window", 4, 4, 2, 0)
         tape = T.Tape()
         x = tape.leaf(rng(1).normal(size=(2, 4, 4)))
-        tape.backward(T.reduce_mean(gather_tokens(x, [o])))
+        tape.backward(reduce_mean(gather_tokens(x, [o])))
         # every entry gets the mean's gradient, 1/32, back unchanged
         np.testing.assert_array_equal(tape.grad(x), np.full((2, 4, 4), 1 / 32))
 
@@ -171,7 +171,7 @@ class TestGatherScatter:
         o = make_order("stripe", 3, 4, 2, 1)
         x = rng(2).normal(size=(1, 2, 12))
         err = T.grad_check(
-            lambda t: T.reduce_mean(T.sigmoid(scatter_tokens(t, [o]))), x)
+            lambda t: reduce_mean(T.sigmoid(scatter_tokens(t, [o]))), x)
         assert err < 1e-6
 
     def test_four_orders_are_adjoint(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import rng
+from conftest import reduce_mean, rng
 from stripesr import ops, tensor as T
 from stripesr.errors import ContractViolation
 from stripesr.tensor import Tape, Tensor
@@ -30,7 +30,7 @@ class TestTapeBackward:
     def test_leaf_grad_identity(self):
         tape = Tape()
         x = tape.leaf(np.array([1.0, 2.0, 3.0]))
-        tape.backward(T.reduce_mean(x))
+        tape.backward(reduce_mean(x))
         np.testing.assert_array_equal(tape.grad(x), np.full(3, 1 / 3))
 
     def test_chain_rule_two_ops(self):
@@ -38,13 +38,13 @@ class TestTapeBackward:
         tape = Tape()
         x = tape.leaf(np.array([1.0, -2.0], dtype=np.float64))
         y = T.scale(x, 2.0)
-        tape.backward(T.reduce_mean(T.mul(y, y)))
+        tape.backward(reduce_mean(T.mul(y, y)))
         np.testing.assert_allclose(tape.grad(x), 4.0 * x.data)
 
     def test_grad_accumulates_over_fanout(self):
         tape = Tape()
         x = tape.leaf(np.array([3.0]))
-        tape.backward(T.reduce_mean(T.add(x, x)))
+        tape.backward(reduce_mean(T.add(x, x)))
         np.testing.assert_array_equal(tape.grad(x), [2.0])
 
     def test_backward_requires_scalar(self):
@@ -57,7 +57,7 @@ class TestTapeBackward:
         # backward frees the tape's closures, so it runs once per tape
         tape = Tape()
         x = tape.leaf(np.array([1.0, 2.0]))
-        loss = T.reduce_mean(T.mul(x, x))
+        loss = reduce_mean(T.mul(x, x))
         tape.backward(loss)
         with pytest.raises(ContractViolation):
             tape.backward(loss)
@@ -67,7 +67,7 @@ class TestTapeBackward:
         tape = Tape()
         x = tape.leaf(np.ones(3))
         y = tape.leaf(np.ones(2))
-        tape.backward(T.reduce_mean(x))
+        tape.backward(reduce_mean(x))
         np.testing.assert_array_equal(tape.grad(y), np.zeros(2))
 
     def test_none_and_off_tape_inputs_get_no_parent(self):
@@ -79,7 +79,7 @@ class TestTapeBackward:
         def weight_grad(tape, xt):
             wt = tape.leaf(w)
             out = ops.conv2d(xt, wt, None)
-            tape.backward(T.reduce_mean(T.sigmoid(out)))
+            tape.backward(reduce_mean(T.sigmoid(out)))
             return tape.nodes[out.node_id].parent_ids, wt.node_id, tape.grad(wt)
 
         tape = Tape()
@@ -113,7 +113,7 @@ class TestElementwise:
                              ids=lambda op: op.__name__)
     def test_unary_grad_check(self, op):
         x = rng(3).normal(size=(2, 5))
-        err = T.grad_check(lambda t: T.reduce_mean(op(t)), x)
+        err = T.grad_check(lambda t: reduce_mean(op(t)), x)
         assert err < 1e-6
 
     @pytest.mark.parametrize("op", [T.add, T.mul],
@@ -122,7 +122,7 @@ class TestElementwise:
         other = rng(4).normal(size=(3, 4)) + 2.0
         x = rng(5).normal(size=(3, 4))
         err = T.grad_check(
-            lambda t: T.reduce_mean(
+            lambda t: reduce_mean(
                 T.sigmoid(op(t, Tensor(other, dtype=np.float64)))),
             x)
         assert err < 1e-6
@@ -188,11 +188,11 @@ class TestNumpyHelpers:
 class TestReductions:
     def test_mean_all(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
-        assert T.reduce_mean(x).item() == 2.5
+        assert reduce_mean(x).item() == 2.5
 
     def test_mean_grad(self):
         x = rng(11).normal(size=(3, 5))
-        err = T.grad_check(T.reduce_mean, x)
+        err = T.grad_check(reduce_mean, x)
         assert err < 1e-6
 
 
@@ -204,7 +204,7 @@ class TestShapeOps:
                         Tensor(b, dtype=np.float64)], axis=0)
         np.testing.assert_array_equal(got.data, np.concatenate([a, b], axis=0))
         err = T.grad_check(
-            lambda t: T.reduce_mean(T.sigmoid(
+            lambda t: reduce_mean(T.sigmoid(
                 T.concat([t, Tensor(b, dtype=np.float64)], axis=0))), a)
         assert err < 1e-6
 
@@ -213,7 +213,7 @@ class TestShapeOps:
         got = T.narrow(Tensor(x, dtype=np.float64), 0, 2, 3)
         np.testing.assert_array_equal(got.data, x[2:5])
         err = T.grad_check(
-            lambda t: T.reduce_mean(T.sigmoid(T.narrow(t, 1, 1, 2))), x)
+            lambda t: reduce_mean(T.sigmoid(T.narrow(t, 1, 1, 2))), x)
         assert err < 1e-6
 
     def test_narrow_out_of_bounds(self):
@@ -224,7 +224,7 @@ class TestShapeOps:
 class TestGradCheckHarness:
     def test_sigmoid_sum_tight(self):
         x = rng(18).normal(size=(4, 4))
-        assert T.grad_check(lambda t: T.reduce_mean(T.sigmoid(t)), x) < 1e-6
+        assert T.grad_check(lambda t: reduce_mean(T.sigmoid(t)), x) < 1e-6
 
     def test_flags_a_wrong_gradient(self):
         # an op with a deliberately broken backward must fail the check
@@ -232,7 +232,7 @@ class TestGradCheckHarness:
             def dfn(g):
                 return 0.5 * g  # wrong: claims d/dx x = 0.5
             out = T._record_unary(t, t.data.copy(), dfn)
-            return T.reduce_mean(out)
+            return reduce_mean(out)
         assert T.grad_check(bad, rng(19).normal(size=(3,))) > 1e-2
 
 
